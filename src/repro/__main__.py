@@ -12,19 +12,7 @@ Commands:
   Times the same Table I cells serially and sharded over N workers,
   asserts the results are identical, exercises the warm-cache path, and
   writes a ``BENCH_matrix.json`` wall-clock baseline artifact.
-* ``bench core``           — discrete-event hot-path microbenchmarks::
-
-      python -m repro bench core [--out FILE] [--scale F | --quick]
-                                 [--repeats N] [--only NAME,NAME,...]
-                                 [--check BASELINE] [--tolerance F]
-
-  Seeded events/sec microbenchmarks (raw dispatch, timer storms, the
-  timer-wheel out-of-order storm, pre-compiled setTimeout chains,
-  worker ping-pong, kernel scheduling, traced-vs-untraced overhead)
-  written to ``BENCH_core.json``.  ``--check`` compares against a
-  committed baseline and exits non-zero on a >20% normalised
-  events/sec drop (``--tolerance`` overrides the 0.20; see
-  ``benchmarks/baselines/``).
+  Hot-path timing lives in the repo benchmark, ``python3 perfbench/run.py``.
 * ``dromaeo``              — JSKernel Dromaeo overhead report
 * ``compat``               — API-compat counts + DOM similarity (small)
 * ``attacks``              — list every attack row
@@ -111,8 +99,9 @@ Any command also accepts ``--profile``: the run executes under
 offline digging, and the top 20 functions by cumulative time are
 printed.
 
-The experiment commands (``matrix``, ``table2``, ``figure2``, ``bench``,
-``fuzz``, ``cube``) additionally accept the parallel-engine flags:
+The experiment commands (``matrix``, ``table2``, ``figure2``, ``fuzz``,
+``cube``) additionally accept the parallel-engine flags (``bench`` takes
+only ``--parallel``):
 
 * ``--parallel N``   — shard cells over N worker processes (results are
   byte-identical to the serial run; see ``repro.harness.parallel``)
@@ -227,71 +216,6 @@ BENCH_ATTACKS = ["cache-attack", "clock-edge", "loopscan", "svg-filtering", "cve
 BENCH_DEFENSES = ["legacy-chrome", "fuzzyfox", "deterfox", "tor", "chromezero", "jskernel"]
 
 
-BENCH_CORE_USAGE = (
-    "usage: python -m repro bench core [--out FILE] [--scale F | --quick] "
-    "[--repeats N] [--only NAME,NAME,...] [--check BASELINE] [--tolerance F]"
-)
-
-
-def _cmd_bench_core(args) -> None:
-    """Hot-path microbenchmarks; writes BENCH_core.json."""
-    from .harness.bench_core import (
-        DEFAULT_REPEATS,
-        REGRESSION_TOLERANCE,
-        check_regression,
-        format_report,
-        run_bench_core,
-    )
-
-    out = _flag_value(args, "--out", "BENCH_core.json")
-    scale_arg = _flag_value(args, "--scale", "1.0")
-    repeats_arg = _flag_value(args, "--repeats", str(DEFAULT_REPEATS))
-    only_arg = _flag_value(args, "--only", "")
-    baseline_path = _flag_value(args, "--check", "")
-    tolerance_arg = _flag_value(args, "--tolerance", str(REGRESSION_TOLERANCE))
-    quick = "--quick" in args
-    if quick:
-        args.remove("--quick")
-    if args:
-        print(BENCH_CORE_USAGE)
-        raise SystemExit(2)
-    try:
-        scale = 0.1 if quick else float(scale_arg)
-        repeats = int(repeats_arg)
-        tolerance = float(tolerance_arg)
-    except ValueError:
-        _die(
-            "--scale/--repeats/--tolerance take numbers, got "
-            f"{scale_arg!r} / {repeats_arg!r} / {tolerance_arg!r}"
-        )
-    if not 0 < tolerance < 1:
-        _die(f"--tolerance is a fraction in (0, 1), got {tolerance}")
-    only = [name for name in only_arg.split(",") if name] or None
-
-    try:
-        report = run_bench_core(scale=scale, repeats=repeats, only=only)
-    except ValueError as exc:
-        _die(str(exc))
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(format_report(report))
-    print(f"\nwrote {out}")
-
-    if baseline_path:
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as exc:
-            _die(f"cannot load baseline {baseline_path!r}: {exc}")
-        failures = check_regression(report, baseline, tolerance=tolerance)
-        if failures:
-            for line in failures:
-                print(f"regression: {line}", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"no regression vs {baseline_path} (tolerance {tolerance:.0%})")
-
-
 def _cmd_bench(args) -> None:
     """Serial vs parallel Table I baseline; writes BENCH_matrix.json."""
     import tempfile
@@ -300,18 +224,22 @@ def _cmd_bench(args) -> None:
     from .harness import ResultCache
 
     args = list(args)
-    if args and args[0] == "core":
-        _cmd_bench_core(args[1:])
-        return
     out = _flag_value(args, "--out", "BENCH_matrix.json")
     workers_arg = _flag_value(args, "--parallel", "2")
+    full = "--full" in args
+    if full:
+        args.remove("--full")
+    if args:
+        _die(
+            f"bench takes [--full] [--parallel N] [--out FILE], got {' '.join(args)!r}; "
+            "hot-path timing lives in 'python3 perfbench/run.py'"
+        )
     try:
         workers = int(workers_arg)
     except ValueError:
         _die(f"--parallel takes an integer worker count, got {workers_arg!r}")
     if workers < 2:
         _die("bench compares serial against a sharded run; --parallel must be >= 2")
-    full = "--full" in args
     attacks = None if full else BENCH_ATTACKS
     defenses = None if full else BENCH_DEFENSES
 

@@ -17,15 +17,13 @@ frame's local end time.  A task whose ready time falls inside another task's
 busy window is dispatched when the thread frees up — exactly the queueing
 behaviour implicit clocks measure.
 
-Hot path
---------
+Ready queue
+-----------
 
-The macrotask queue is dual-lane like the simulator's ready queue: tasks
-posted in non-decreasing ``(ready_time, id)`` order ride a FIFO deque,
-out-of-order posts go to a heap, and the pop takes the minimum across both
-— the same total order as a single heap at a fraction of the cost for the
-common in-order workload.  The dispatch path binds its hot attributes to
-locals, builds no strings when the tracer is disabled, and reuses cached
+The macrotask queue is one heap of ``(ready_time, id, task)`` entries.
+The loop keeps at most one simulator wakeup armed, at the time its head
+task becomes runnable; each wake runs one task and re-arms.  The dispatch
+path builds no strings when the tracer is disabled and reuses cached
 metric handles when it is enabled (see DESIGN.md §12).
 """
 
@@ -43,21 +41,6 @@ from .task import Microtask, Task, TaskRecord, TaskSource
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Same-time tasks one wake dispatch may run inline before falling back to
-#: a scheduled wake.  The fallback keeps the simulator's ``max_events``
-#: backstop effective against runaway same-time task chains while costing
-#: one queue round-trip per batch.
-_INLINE_BATCH_LIMIT = 100
-
-#: Heap-lane size beyond which a wake converts it to the FIFO lane with
-#: one sorted pass (see EventLoop._flush_heap_lane).
-_HEAP_FLUSH_THRESHOLD = 32
-
-
-def _task_order(task: "Task") -> "Tuple[int, int]":
-    return (task.ready_time, task.id)
-
-
 class EventLoop:
     """One thread's macrotask + microtask queues, driven by the simulator."""
 
@@ -71,10 +54,7 @@ class EventLoop:
         self.sim = sim
         self.name = name
         self.task_dispatch_cost = task_dispatch_cost
-        # dual-lane macrotask queue: in-order posts ride the FIFO deque,
-        # out-of-order posts go to the heap (see module docstring)
         self._queue: List[Tuple[int, int, Task]] = []
-        self._tfifo: Deque[Task] = deque()
         # deque: the checkpoint pops from the left, and list.pop(0) is
         # O(n) — quadratic over a promise-heavy task's microtask chain
         self._microtasks: Deque[Microtask] = deque()
@@ -117,17 +97,7 @@ class EventLoop:
         ready = task.ready_time
         if ready < self.sim.dispatch_time:
             ready = task.ready_time = self.sim.dispatch_time
-        fifo = self._tfifo
-        if not fifo:
-            fifo.append(task)
-        else:
-            tail = fifo[-1]
-            # ids are not guaranteed monotone for pre-built tasks, so the
-            # in-order test compares the full (ready_time, id) key
-            if ready > tail.ready_time or (ready == tail.ready_time and task.id > tail.id):
-                fifo.append(task)
-            else:
-                _heappush(self._queue, (ready, task.id, task))
+        _heappush(self._queue, (ready, task.id, task))
         self._arm()
         return task
 
@@ -176,7 +146,6 @@ class EventLoop:
         """Terminate the loop: drop all queued work, refuse new work."""
         self.stopped = True
         self._queue.clear()
-        self._tfifo.clear()
         self._microtasks.clear()
         if self._wakeup is not None:
             self._wakeup.cancel()
@@ -185,8 +154,7 @@ class EventLoop:
     @property
     def pending_tasks(self) -> int:
         """Number of queued, non-cancelled macrotasks."""
-        live = sum(1 for _r, _i, t in self._queue if not t.cancelled)
-        return live + sum(1 for t in self._tfifo if not t.cancelled)
+        return sum(1 for _r, _i, t in self._queue if not t.cancelled)
 
     @property
     def idle(self) -> bool:
@@ -196,40 +164,14 @@ class EventLoop:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _peek_task(self) -> Optional[Task]:
-        """Earliest live queued task, pruning cancelled heads (not popped)."""
+    def _next_task_time(self) -> Optional[int]:
+        """When the head task can run (pruning cancelled heads), or ``None``."""
         heap = self._queue
-        fifo = self._tfifo
         while heap and heap[0][2].cancelled:
             _heappop(heap)
-        while fifo and fifo[0].cancelled:
-            fifo.popleft()
-        if fifo:
-            task = fifo[0]
-            if heap:
-                head = heap[0]
-                ht = head[0]
-                if ht < task.ready_time or (ht == task.ready_time and head[1] < task.id):
-                    return head[2]
-            return task
-        if heap:
-            return heap[0][2]
-        return None
-
-    def _pop_task(self, task: Task) -> None:
-        """Remove ``task`` — always the current :meth:`_peek_task` result —
-        from whichever lane holds it."""
-        fifo = self._tfifo
-        if fifo and fifo[0] is task:
-            fifo.popleft()
-        else:
-            _heappop(self._queue)
-
-    def _next_task_time(self) -> Optional[int]:
-        task = self._peek_task()
-        if task is None:
+        if not heap:
             return None
-        ready = task.ready_time
+        ready = heap[0][0]
         busy = self.busy_until
         if ready < busy:
             ready = busy
@@ -250,143 +192,18 @@ class EventLoop:
             wakeup.cancel()
         self._wakeup = self.sim.schedule(run_at, self._wake, label=self._wake_label)
 
-    def _flush_heap_lane(self) -> None:
-        """Drain a bulky heap lane into the FIFO lane in one sorted pass.
-
-        A burst of out-of-order posts (30k timers set upfront, say) lands
-        in the heap, and popping them back costs O(log n) Python-level
-        tuple comparisons each.  One ``sorted()`` over tasks from both
-        lanes is a single C-speed pass and leaves every subsequent pop
-        O(1).  The key is the same ``(ready_time, id)`` the heap orders
-        by, so the total order is unchanged.
-        """
-        heap = self._queue
-        fifo = self._tfifo
-        tasks = [entry[2] for entry in heap]
-        heap.clear()
-        tasks.extend(fifo)
-        fifo.clear()
-        tasks.sort(key=_task_order)
-        fifo.extend(tasks)
-
     def _wake(self) -> None:
         self._wakeup = None
         if self.stopped:
             return
-        if len(self._queue) > _HEAP_FLUSH_THRESHOLD:
-            self._flush_heap_lane()
-        sim = self.sim
-        task = self._peek_task()
-        if task is None:
+        run_at = self._next_task_time()
+        if run_at is None:
             return
-        run_at = task.ready_time
-        busy = self.busy_until
-        if run_at < busy:
-            run_at = busy
-        if run_at > sim._time:
+        if run_at > self.sim.dispatch_time:
             self._arm()
             return
-        self._pop_task(task)
-        self._run_task(task)
-        self._continue_inline()
-
-    def _continue_inline(self) -> None:
-        """Post-dispatch continuation: inline same-time follow-ups, else arm.
-
-        Inline continuation: when the *next* task would be woken at
-        exactly the current dispatch time and no other simulator event
-        is queued at (or before) that time, nothing can interleave — the
-        wake the seed would schedule is provably the very next dispatch.
-        Run the task here instead, replicating the wake's bookkeeping
-        (events_processed, dispatch label/ordinal, recent labels) so
-        every downstream observable — trace ordinals included — matches
-        the schedule-a-wake path bit for bit.  Timer storms, where
-        hundreds of timers share one millisecond slot, collapse from one
-        full queue round-trip per task to one per slot.
-
-        Also called by the compiled-chain batch executor
-        (:mod:`repro.runtime.compile`) at every batch exit, so a bailed
-        batch rejoins the generic schedule through exactly the code an
-        interpreted wake would have run.
-        """
-        sim = self.sim
-        budget = _INLINE_BATCH_LIMIT
-        run = self._run_task
-        wake_label = self._wake_label
-        recent_append = sim._recent_labels.append
-        heap = self._queue
-        fifo = self._tfifo
-        swheel = sim._wheel
-        swready = swheel._ready
-        sfifo = sim._fifo
-        heappop = _heappop
-        while not self.stopped:
-            # earliest live queued task (_peek_task, inlined)
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-            while fifo and fifo[0].cancelled:
-                fifo.popleft()
-            use_fifo = False
-            if fifo:
-                task = fifo[0]
-                use_fifo = True
-                if heap:
-                    head = heap[0]
-                    ht = head[0]
-                    if ht < task.ready_time or (
-                        ht == task.ready_time and head[1] < task.id
-                    ):
-                        task = head[2]
-                        use_fifo = False
-            elif heap:
-                task = heap[0][2]
-            else:
-                return
-            run_at = task.ready_time
-            busy = self.busy_until
-            if run_at < busy:
-                run_at = busy
-            dispatch = sim._time
-            if run_at > dispatch or not sim._inline_wake_ok or budget <= 0:
-                self._arm()
-                return
-            # no other simulator event may exist at (or before) the current
-            # time (Simulator._peek_time, inlined conservatively; cancelled
-            # entries count, and a wheel with an empty ready run reports
-            # its drained-region bound — every stored entry is at or past
-            # it, so a bound beyond the dispatch time proves no entry can
-            # interleave, without forcing a slot drain from here)
-            if sfifo:
-                nt = sfifo[0].time
-                if swready:
-                    wt = swready[swheel._pos].time
-                    if wt < nt:
-                        nt = wt
-                elif swheel._stored:
-                    wt = swheel._ready_until
-                    if wt < nt:
-                        nt = wt
-                if nt <= dispatch:
-                    self._arm()
-                    return
-            elif swready:
-                if swready[swheel._pos].time <= dispatch:
-                    self._arm()
-                    return
-            elif swheel._stored and swheel._ready_until <= dispatch:
-                self._arm()
-                return
-            budget -= 1
-            n = sim.events_processed + 1
-            sim.events_processed = n
-            sim._dispatch_label = wake_label
-            sim._dispatch_ordinal = n
-            recent_append(wake_label)
-            if use_fifo:
-                fifo.popleft()
-            else:
-                heappop(heap)
-            run(task)
+        self._run_task(_heappop(self._queue)[2])
+        self._arm()
 
     def _bind_metrics(self, tracer) -> None:
         """(Re)bind cached metric handles to ``tracer``'s registry."""

@@ -26,6 +26,7 @@ tasks sequentially.
 
 from __future__ import annotations
 
+import heapq
 import os
 from collections import deque
 from contextlib import contextmanager
@@ -33,7 +34,9 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimulationError
 from ..trace import current_tracer
-from .wheel import G_BITS, SLOT_MASK, TimerWheel, _L1_SHIFT
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 #: Sentinel upper bound for ``run(until=None)``: one comparison against
 #: +inf per dispatch is cheaper than re-testing ``until is not None``.
@@ -178,20 +181,9 @@ class Simulator:
 
     def __init__(self):
         self._time = 0
-        # Dual-lane ready queue.  Discrete-event workloads schedule mostly
-        # in non-decreasing time order, so an in-order append goes to the
-        # FIFO lane (deque of ScheduledCall, O(1) push/pop) and only
-        # out-of-order schedules pay the timed lane — a hierarchical
-        # timer wheel (see repro.runtime.wheel) whose push is O(1) and
-        # whose per-slot sort replaces the old heap's O(log n) Python
-        # tuple comparisons.  Dispatch takes the (time, seq) minimum
-        # across both lanes, so the total order is exactly the
-        # single-heap order the seed used.
-        self._wheel = TimerWheel()
-        self._fifo: deque = deque()
-        # Seed-era heap lane: unused by this class, but kept so the
-        # frozen ReferenceSimulator subclass (harness.bench_reference)
-        # can keep exercising the original single-heap hot path.
+        # The ready queue: one heap of (time, seq, call) entries.  seq
+        # strictly increases, so equal-time calls dispatch in schedule
+        # order.
         self._heap: List[Tuple[int, int, ScheduledCall]] = []
         self._seq = 0
         #: Scheduled, non-cancelled events — maintained on schedule/
@@ -218,14 +210,6 @@ class Simulator:
         #: Labels of the most recently dispatched events, newest last —
         #: context for runaway-loop errors.
         self._recent_labels: deque = deque(maxlen=RECENT_LABEL_WINDOW)
-        #: True only while :meth:`run` is draining (and no perturber is
-        #: installed).  Event loops may then dispatch a same-time follow-up
-        #: task inline instead of scheduling a wake, provided no other
-        #: simulator event could interleave — see EventLoop._wake.  Kept
-        #: False under step()/run_until(), where callers observe per-event
-        #: granularity (a predicate may become true between two same-time
-        #: events).
-        self._inline_wake_ok = False
 
     # ------------------------------------------------------------------
     # time
@@ -318,28 +302,7 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         call = ScheduledCall(at, seq, fn, label, self)
-        fifo = self._fifo
-        # seq strictly increases, so an equal-time append keeps the FIFO
-        # lane sorted by (time, seq)
-        if not fifo or at >= fifo[-1].time:
-            fifo.append(call)
-        else:
-            wheel = self._wheel
-            # TimerWheel.push's level-0 fast path, inlined: a rearming
-            # timer storm pays this per schedule, and the extra call
-            # frame showed up in profiles (keep in sync with wheel.py)
-            if at >= wheel._ready_until and not ((at ^ wheel._base) >> _L1_SHIFT):
-                index = (at >> G_BITS) & SLOT_MASK
-                slots0 = wheel._slots0
-                slot = slots0[index]
-                if slot is None:
-                    slots0[index] = [call]
-                    wheel._occupied[0] |= 1 << index
-                else:
-                    slot.append(call)
-                wheel._stored += 1
-            else:
-                wheel.push(call)
+        _heappush(self._heap, (at, seq, call))
         self._live += 1
         return call
 
@@ -351,47 +314,16 @@ class Simulator:
     # running
     # ------------------------------------------------------------------
     def _pop_next(self) -> Optional[ScheduledCall]:
-        """Pop the earliest live call across both lanes (``None`` if drained)."""
-        fifo = self._fifo
-        wheel = self._wheel
-        while True:
-            head = wheel.peek()
-            if fifo:
-                call = fifo[0]
-                if head is not None and (
-                    head.time < call.time
-                    or (head.time == call.time and head.seq < call.seq)
-                ):
-                    call = wheel.pop()
-                else:
-                    fifo.popleft()
-            elif head is not None:
-                call = wheel.pop()
-            else:
-                return None
+        """Pop the earliest live call (``None`` if drained)."""
+        heap = self._heap
+        while heap:
+            call = _heappop(heap)[2]
             if not call.cancelled:
                 return call
-
-    def _peek_time(self) -> Optional[int]:
-        """Time of the earliest queued entry, cancelled entries included.
-
-        A conservative bound for the event loops' inline-wake check: a
-        cancelled head makes the loop take the normal schedule-a-wake
-        path, which is always correct, just slower.
-        """
-        fifo = self._fifo
-        head = self._wheel.peek()
-        if fifo:
-            t = fifo[0].time
-            if head is not None and head.time < t:
-                return head.time
-            return t
-        if head is not None:
-            return head.time
         return None
 
     def _dispatch(self, call: ScheduledCall) -> None:
-        """Shared (slow-path) dispatch used by :meth:`step` / :meth:`run_until`."""
+        """Dispatch bookkeeping shared by :meth:`step` / :meth:`run_until`."""
         self._time = call.time
         self._live -= 1
         call.sim = None
@@ -413,12 +345,7 @@ class Simulator:
         call = self._pop_next()
         if call is None:
             return False
-        prev_inline = self._inline_wake_ok
-        self._inline_wake_ok = False  # single-step granularity is observable
-        try:
-            self._dispatch(call)
-        finally:
-            self._inline_wake_ok = prev_inline
+        self._dispatch(call)
         return True
 
     def recent_dispatch_context(self) -> str:
@@ -430,6 +357,9 @@ class Simulator:
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue empties or virtual time passes ``until``.
 
+        The clock never moves backwards: an ``until`` below the current
+        dispatch time dispatches nothing and leaves the clock where it is.
+
         ``max_events`` is a runaway-experiment backstop (default:
         ``$REPRO_MAX_EVENTS`` or :data:`DEFAULT_MAX_EVENTS`); hitting it
         raises :class:`SimulationError` — with the recently dispatched
@@ -437,93 +367,45 @@ class Simulator:
         """
         limit = default_max_events() if max_events is None else max_events
         bound = _NO_BOUND if until is None else until
-        # Hot loop: everything reachable per dispatch is bound to a local
-        # once, the lane selection is inlined (no step() call per event),
-        # and with the tracer disabled a dispatch allocates nothing — the
-        # popped call and its queue entry were allocated at schedule time.
-        wheel = self._wheel
-        # the ready-run list is mutated in place, never rebound, so one
-        # binding outside the loop stays valid across primes
-        wready = wheel._ready
-        wheel_peek = wheel.peek
-        fifo = self._fifo
-        fifo_popleft = fifo.popleft
+        # Hot loop: :meth:`_dispatch` inlined, with everything reachable
+        # per dispatch bound to a local once.
+        heap = self._heap
+        heappop = _heappop
         recent_append = self._recent_labels.append
         perturber = self.perturber
-        # The backstop counts events_processed deltas rather than loop
-        # iterations: event loops may dispatch same-time tasks inline
-        # (bumping events_processed without a queue round-trip), and those
-        # must count against the runaway limit exactly as if each had been
-        # a scheduled wake.
-        base = self.events_processed
-        prev_inline = self._inline_wake_ok
-        self._inline_wake_ok = perturber is None
-        try:
-            while True:
-                # peek the earliest queued entry (cancelled ones included,
-                # as the bounded stop condition predates cancellation
-                # pruning); the wheel head is its ready-run front,
-                # priming (slot drain/cascade) only when the run is empty
-                if wready:
-                    whead = wready[wheel._pos]
-                elif wheel._stored:
-                    whead = wheel_peek()
-                else:
-                    whead = None
-                if fifo:
-                    call = fifo[0]
-                    head_time = call.time
-                    use_fifo = True
-                    if whead is not None:
-                        wt = whead.time
-                        if wt < head_time or (wt == head_time and whead.seq < call.seq):
-                            head_time = wt
-                            use_fifo = False
-                elif whead is not None:
-                    head_time = whead.time
-                    use_fifo = False
-                else:
-                    break
-                if head_time > bound:
+        processed = 0
+        while heap:
+            # the bound is checked against the head entry, cancelled or not
+            if heap[0][0] > bound:
+                if until > self._time:
                     self._time = until
+                return
+            call = heappop(heap)[2]
+            if call.cancelled:
+                # seed step semantics: once the head passed the bound
+                # check, the next *live* event dispatches without a
+                # re-check, and a fully-cancelled remainder returns early
+                call = self._pop_next()
+                if call is None:
                     return
-                if use_fifo:
-                    fifo_popleft()
-                else:
-                    call = whead
-                    pos = wheel._pos + 1
-                    if pos == len(wready):
-                        wready.clear()
-                        wheel._pos = 0
-                    else:
-                        wheel._pos = pos
-                if call.cancelled:
-                    # seed-faithful step semantics: once the head passed
-                    # the bound check, the next *live* event dispatches
-                    # without a re-check, and a fully-cancelled remainder
-                    # returns early
-                    call = self._pop_next()
-                    if call is None:
-                        return
-                self._time = call.time
-                self._live -= 1
-                call.sim = None
-                n = self.events_processed + 1
-                self.events_processed = n
-                label = call.label or "call"
-                self._dispatch_label = label
-                self._dispatch_ordinal = n
-                recent_append(label)
-                if perturber is not None:
-                    perturber.on_dispatch(label)
-                call.fn()
-                if self.events_processed - base > limit:
-                    raise SimulationError(
-                        f"simulation exceeded {limit} events (runaway loop?); "
-                        f"last dispatched: {self.recent_dispatch_context()}"
-                    )
-        finally:
-            self._inline_wake_ok = prev_inline
+            self._time = call.time
+            self._live -= 1
+            call.sim = None
+            n = self.events_processed + 1
+            self.events_processed = n
+            label = call.label or "call"
+            self._dispatch_label = label
+            self._dispatch_ordinal = n
+            recent_append(label)
+            if perturber is not None:
+                perturber.on_dispatch(label)
+            call.fn()
+            processed += 1
+            if processed > limit:
+                raise SimulationError(
+                    f"simulation exceeded {limit} events (runaway loop?); "
+                    f"last dispatched: {self.recent_dispatch_context()}"
+                )
         if until is not None and until > self._time:
             self._time = until
 
@@ -540,27 +422,19 @@ class Simulator:
         pop_next = self._pop_next
         dispatch = self._dispatch
         processed = 0
-        # Inline wake batching stays off here: the predicate is checked
-        # between events, so per-event granularity is observable (it may
-        # become true between two same-time dispatches).
-        prev_inline = self._inline_wake_ok
-        self._inline_wake_ok = False
-        try:
-            while not predicate():
-                call = pop_next()
-                if call is None:
-                    raise DeadlockError(
-                        "event queue drained before the awaited condition became true"
-                    )
-                dispatch(call)
-                processed += 1
-                if processed > limit:
-                    raise SimulationError(
-                        f"run_until exceeded {limit} events (runaway loop?); "
-                        f"last dispatched: {self.recent_dispatch_context()}"
-                    )
-        finally:
-            self._inline_wake_ok = prev_inline
+        while not predicate():
+            call = pop_next()
+            if call is None:
+                raise DeadlockError(
+                    "event queue drained before the awaited condition became true"
+                )
+            dispatch(call)
+            processed += 1
+            if processed > limit:
+                raise SimulationError(
+                    f"run_until exceeded {limit} events (runaway loop?); "
+                    f"last dispatched: {self.recent_dispatch_context()}"
+                )
 
     @property
     def pending_events(self) -> int:

@@ -646,116 +646,6 @@ def test_check_serve_validates_a_real_captured_stream(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-def good_bench_report(**overrides):
-    report = {
-        "schema": 2,
-        "scale": 1.0,
-        "benchmarks": {
-            "wheel": {
-                "events": 1000,
-                "repeats": 3,
-                "events_per_sec": 2_000_000.0,
-                "p50_ns_per_event": 500.0,
-                "p95_ns_per_event": 600.0,
-                "alloc_blocks_per_event": 0.0,
-            },
-            "wheel-reference": {
-                "events": 1000,
-                "repeats": 3,
-                "events_per_sec": 1_000_000.0,
-                "p50_ns_per_event": 1000.0,
-                "p95_ns_per_event": 1100.0,
-                "alloc_blocks_per_event": 0.0,
-            },
-        },
-        "speedups_vs_seed_reference": {"wheel": 2.0},
-        "traced_overhead": {
-            "untraced_events_per_sec": 400_000.0,
-            "traced_events_per_sec": 200_000.0,
-            "overhead_ratio": 2.0,
-        },
-    }
-    report.update(overrides)
-    return report
-
-
-def test_check_bench_accepts_a_valid_report(tmp_path):
-    path = write(tmp_path / "bench.json", good_bench_report())
-    summary = ci_checks.check_bench(path, require=["wheel"])
-    assert summary == "ok: 2 benchmarks at scale 1.0, 1 seed-reference speedups"
-
-
-@pytest.mark.parametrize(
-    "mutate, fragment",
-    [
-        (lambda r: r.update(schema=1), "schema 1"),
-        (lambda r: r.update(scale=0), "scale"),
-        (lambda r: r.update(benchmarks={}), "no benchmarks"),
-        (lambda r: r["benchmarks"]["wheel"].pop("events_per_sec"), "numeric"),
-        (lambda r: r["benchmarks"]["wheel"].update(events=0), "non-positive"),
-        (
-            lambda r: r["benchmarks"]["wheel"].update(p95_ns_per_event=1.0),
-            "p95 < p50",
-        ),
-        (lambda r: r["benchmarks"].pop("wheel"), "no live counterpart"),
-        (
-            lambda r: r["benchmarks"]["wheel-reference"].update(events=999),
-            "different event counts",
-        ),
-        (lambda r: r.pop("speedups_vs_seed_reference"), "missing speedups"),
-        (
-            lambda r: r["speedups_vs_seed_reference"].update(wheel=3.0),
-            "recomputes to",
-        ),
-        (
-            lambda r: r["speedups_vs_seed_reference"].update(ghost=1.0),
-            "lacks its benchmark pair",
-        ),
-        (
-            lambda r: r["traced_overhead"].pop("overhead_ratio"),
-            "traced_overhead",
-        ),
-    ],
-)
-def test_check_bench_rejects_schema_drift(tmp_path, mutate, fragment):
-    report = good_bench_report()
-    mutate(report)
-    path = write(tmp_path / "bench.json", report)
-    with pytest.raises(CheckFailure, match=fragment):
-        ci_checks.check_bench(path)
-
-
-def test_check_bench_enforces_required_cases(tmp_path):
-    path = write(tmp_path / "bench.json", good_bench_report())
-    with pytest.raises(CheckFailure, match="required benchmarks missing: precompiled"):
-        ci_checks.check_bench(path, require=["wheel", "precompiled"])
-
-
-def test_check_bench_accepts_a_real_quick_report(tmp_path):
-    """End to end: a real --only wheel,precompiled run satisfies the CI gate."""
-    from repro.harness.bench_core import run_bench_core
-
-    report = run_bench_core(scale=0.01, repeats=1, only=["wheel", "precompiled"])
-    path = write(tmp_path / "bench.json", report)
-    summary = ci_checks.check_bench(path, require=["wheel", "precompiled"])
-    assert summary.startswith("ok: 4 benchmarks")
-    assert ci_checks.main(["bench", path, "--require", "wheel,precompiled"]) == 0
-
-
-def test_committed_baseline_satisfies_the_bench_gate():
-    baseline = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks",
-        "baselines",
-        "bench_core_baseline.json",
-    )
-    summary = ci_checks.check_bench(baseline, require=["wheel", "precompiled"])
-    assert summary.startswith("ok:")
-
-
-# ----------------------------------------------------------------------
 # CLI plumbing
 # ----------------------------------------------------------------------
 def test_main_returns_zero_on_success(tmp_path, capsys):

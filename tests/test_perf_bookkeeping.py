@@ -1,11 +1,12 @@
 """O(1) live-event bookkeeping and the zero-alloc dispatch invariant.
 
-The fast path replaced heap scans with maintained counters
-(``Simulator.pending_events``, ``KernelEventQueue.__len__`` /
-``pending_count``) and added an inline same-time wake continuation to the
-event loop.  These tests pin the counters across every transition —
+Maintained counters (``Simulator.pending_events``,
+``KernelEventQueue.__len__`` / ``pending_count``) replace heap scans.
+These tests pin the counters across every transition —
 schedule/cancel/dispatch, push/confirm/cancel/pop/remove — and the
-granularity contracts the inline continuation must preserve.
+same-time dispatch contract of the event loop: order, one simulator
+event per task, per-event ``run_until`` granularity and the runaway
+backstop.
 """
 
 import gc
@@ -39,8 +40,8 @@ class TestSimulatorPendingEvents:
     def test_out_of_order_schedules_counted(self):
         sim = Simulator()
         sim.schedule(100, _noop)
-        sim.schedule(50, _noop)  # heap lane
-        sim.schedule(200, _noop)  # fifo lane
+        sim.schedule(50, _noop)
+        sim.schedule(200, _noop)
         assert sim.pending_events == 3
 
     def test_cancel_decrements_once(self):
@@ -192,10 +193,10 @@ def test_untraced_dispatch_allocates_nothing_net():
 
 
 # ----------------------------------------------------------------------
-# inline same-time wake continuation
+# same-time dispatch contract
 # ----------------------------------------------------------------------
 
-class TestInlineWakeContinuation:
+class TestSameTimeDispatch:
     def test_same_time_tasks_all_run_in_order(self):
         sim = Simulator()
         loop = EventLoop(sim, "main", task_dispatch_cost=0)
@@ -207,8 +208,7 @@ class TestInlineWakeContinuation:
         assert loop.tasks_run == 50
 
     def test_events_processed_matches_one_wake_per_task(self):
-        """Inline dispatches replicate the wake bookkeeping: the observable
-        counter equals what one-scheduled-wake-per-task would produce."""
+        """Every task costs exactly one simulator dispatch (its wake)."""
         sim = Simulator()
         loop = EventLoop(sim, "main", task_dispatch_cost=0)
         for i in range(50):
@@ -218,7 +218,7 @@ class TestInlineWakeContinuation:
 
     def test_run_until_keeps_per_event_granularity(self):
         """A predicate turning true between two same-time tasks must stop
-        the run before the second one (inline batching is off here)."""
+        the run before the second one."""
         sim = Simulator()
         loop = EventLoop(sim, "main", task_dispatch_cost=0)
         ran = []
@@ -230,8 +230,8 @@ class TestInlineWakeContinuation:
         assert ran == ["first", "second"]
 
     def test_runaway_same_time_chain_hits_backstop(self):
-        """A task that re-posts itself at the same virtual time must still
-        trip max_events even though most dispatches run inline."""
+        """A task that re-posts itself at the same virtual time must trip
+        max_events."""
         sim = Simulator()
         loop = EventLoop(sim, "main", task_dispatch_cost=0)
 
@@ -242,7 +242,7 @@ class TestInlineWakeContinuation:
         with pytest.raises(SimulationError, match="exceeded"):
             sim.run(max_events=2_000)
 
-    def test_tasks_posted_mid_batch_keep_fifo_order(self):
+    def test_tasks_posted_mid_task_run_after_queued_ones(self):
         sim = Simulator()
         loop = EventLoop(sim, "main", task_dispatch_cost=0)
         order = []

@@ -57,6 +57,22 @@ def test_run_until_time_stops_before_later_events():
     assert ran == ["early", "late"]
 
 
+def test_run_until_an_earlier_time_keeps_the_clock():
+    sim = Simulator()
+    ran = []
+    sim.schedule(100, lambda: ran.append(100))
+    sim.schedule(300, lambda: ran.append(300))
+    sim.run(until=150)
+    assert sim.now == 150
+    sim.run(until=120)
+    assert ran == [100]
+    assert sim.now == 150
+    with pytest.raises(SimulationError):
+        sim.schedule(130, lambda: None)
+    sim.run()
+    assert ran == [100, 300]
+
+
 def test_run_until_predicate():
     sim = Simulator()
     box = {}

@@ -4,9 +4,8 @@ The tracer stores events as uniform tuples and materialises the
 Chrome-trace dicts lazily (see ``repro.trace.tracer``).  These tests pin
 that refactor three ways:
 
-* golden digests: two seeded scenarios captured with the pre-fast-path
-  (seed) pipeline — ``tests/golden/trace_digests.json`` — must still
-  hash identically;
+* golden digests: three seeded scenarios —
+  ``tests/golden/trace_digests.json`` — must still hash identically;
 * a full golden export: the small scenario's Chrome trace is compared
   byte for byte against the committed file;
 * buffer mechanics: lazy materialisation is incremental and stable.
@@ -22,6 +21,10 @@ import os
 
 from repro.attacks import create
 from repro.harness import run_table1
+from repro.runtime.eventloop import EventLoop
+from repro.runtime.simulator import Simulator
+from repro.runtime.task import Microtask
+from repro.runtime.timers import TimerRegistry
 from repro.trace import Tracer, capture
 from repro.trace.export import dump_chrome_trace, format_timeline
 
@@ -63,6 +66,34 @@ def test_matrix_scenario_exports_byte_identical():
             defenses=["legacy-chrome", "jskernel"],
             cache=None,
         )
+    assert len(tracer) == golden["events"]
+    assert _sha256(dump_chrome_trace(tracer)) == golden["chrome_sha256"]
+    assert _sha256(format_timeline(tracer)) == golden["timeline_sha256"]
+
+
+def _noop():
+    pass
+
+
+def test_timer_chain_exports_byte_identical():
+    """A 40-link setTimeout chain on a bare loop: each link consumes
+    2 µs, posts two 400 ns microtasks and arms the next link at 1 ms."""
+    golden = _digests()["chain"]
+    tracer = Tracer()
+    with capture(tracer):
+        sim = Simulator()
+        loop = EventLoop(sim, "main")
+        registry = TimerRegistry(loop)
+
+        def link(i):
+            sim.consume(2_000)
+            for _ in range(2):
+                loop.post_microtask(Microtask(_noop, (), 400))
+            if i + 1 < 40:
+                registry.set_timeout(link, 1, i + 1)
+
+        registry.set_timeout(link, 1, 0)
+        sim.run()
     assert len(tracer) == golden["events"]
     assert _sha256(dump_chrome_trace(tracer)) == golden["chrome_sha256"]
     assert _sha256(format_timeline(tracer)) == golden["timeline_sha256"]

@@ -13,7 +13,6 @@ importable, unit-tested functions behind one CLI::
         --expected tests/golden/cube_expected.json --cdf-out /tmp/cdfs.json
     python tools/ci_checks.py sharedmem /tmp/shm-cube.json \
         --witnesses /tmp/deadlock-witnesses
-    python tools/ci_checks.py bench    BENCH_core.json --require wheel,precompiled
 
 Each checker raises :class:`CheckFailure` with a human-readable message
 on violation and returns an ``ok: ...`` summary line on success; the CLI
@@ -607,99 +606,6 @@ def check_serve(path: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# bench-core: BENCH_core.json schema + internal consistency
-# ----------------------------------------------------------------------
-#: Schema version ``python -m repro bench core`` writes (bumped when the
-#: report shape changes; 2 added the wheel/precompiled cases).
-BENCH_SCHEMA = 2
-
-_BENCH_STAT_KEYS = (
-    "events",
-    "repeats",
-    "events_per_sec",
-    "p50_ns_per_event",
-    "p95_ns_per_event",
-    "alloc_blocks_per_event",
-)
-
-
-def check_bench(path: str, require: Optional[List[str]] = None) -> str:
-    """Validate a ``BENCH_core.json`` report (schema 2).
-
-    Checks: the schema version matches; every benchmark entry carries
-    the full stat row with sane values (positive event counts and
-    throughput, p95 ≥ p50); every ``*-reference`` twin has a live
-    counterpart that ran the same event count; every published speedup
-    recomputes from its benchmark pair (within rounding); and any
-    ``require``d benchmark names are present — CI passes the cases its
-    acceptance criteria gate on.
-    """
-    report = _load(path)
-    schema = report.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise CheckFailure(f"{path}: schema {schema!r}, expected {BENCH_SCHEMA}")
-    scale = report.get("scale")
-    if not isinstance(scale, (int, float)) or isinstance(scale, bool) or scale <= 0:
-        raise CheckFailure(f"{path}: scale must be a positive number, got {scale!r}")
-    benchmarks = report.get("benchmarks")
-    if not isinstance(benchmarks, dict) or not benchmarks:
-        raise CheckFailure(f"{path}: no benchmarks in report")
-    for name, stats in benchmarks.items():
-        if not isinstance(stats, dict):
-            raise CheckFailure(f"{path}: benchmark {name!r} is not an object")
-        for key in _BENCH_STAT_KEYS:
-            value = stats.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise CheckFailure(
-                    f"{path}: benchmark {name!r} missing numeric {key!r}"
-                )
-        if stats["events"] <= 0 or stats["repeats"] < 1 or stats["events_per_sec"] <= 0:
-            raise CheckFailure(f"{path}: benchmark {name!r} has non-positive counters")
-        if stats["p95_ns_per_event"] < stats["p50_ns_per_event"]:
-            raise CheckFailure(f"{path}: benchmark {name!r} has p95 < p50")
-    for name, stats in benchmarks.items():
-        if not name.endswith("-reference"):
-            continue
-        base = name[: -len("-reference")]
-        if base not in benchmarks:
-            raise CheckFailure(f"{path}: {name!r} has no live counterpart")
-        if stats["events"] != benchmarks[base]["events"]:
-            raise CheckFailure(
-                f"{path}: {name!r} and {base!r} ran different event counts"
-            )
-    speedups = report.get("speedups_vs_seed_reference")
-    if not isinstance(speedups, dict):
-        raise CheckFailure(f"{path}: missing speedups_vs_seed_reference")
-    for name, ratio in speedups.items():
-        live = benchmarks.get(name)
-        ref = benchmarks.get(f"{name}-reference")
-        if live is None or ref is None:
-            raise CheckFailure(f"{path}: speedup {name!r} lacks its benchmark pair")
-        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or ratio <= 0:
-            raise CheckFailure(f"{path}: speedup {name!r} is not a positive number")
-        actual = live["events_per_sec"] / ref["events_per_sec"]
-        if abs(actual - ratio) > 0.011:  # ratios are rounded to 2 decimals
-            raise CheckFailure(
-                f"{path}: speedup {name!r} is {ratio}, recomputes to {actual:.2f}"
-            )
-    traced = report.get("traced_overhead")
-    if traced is not None:
-        for key in ("untraced_events_per_sec", "traced_events_per_sec", "overhead_ratio"):
-            value = traced.get(key) if isinstance(traced, dict) else None
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                raise CheckFailure(f"{path}: traced_overhead missing numeric {key!r}")
-    missing = [name for name in (require or []) if name not in benchmarks]
-    if missing:
-        raise CheckFailure(
-            f"{path}: required benchmarks missing: {', '.join(missing)}"
-        )
-    return (
-        f"ok: {len(benchmarks)} benchmarks at scale {scale}, "
-        f"{len(speedups)} seed-reference speedups"
-    )
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
@@ -749,16 +655,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--witnesses", required=True, help="deadlock fuzz witness directory"
     )
 
-    p_bench = sub.add_parser(
-        "bench", help="validate a BENCH_core.json report (schema + consistency)"
-    )
-    p_bench.add_argument("path", help="BENCH_core.json report")
-    p_bench.add_argument(
-        "--require",
-        default="",
-        help="comma-separated benchmark names that must be present",
-    )
-
     opts = parser.parse_args(argv)
     try:
         if opts.command == "trace":
@@ -777,9 +673,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             summary = check_serve(opts.path)
         elif opts.command == "sharedmem":
             summary = check_sharedmem(opts.path, opts.witnesses)
-        elif opts.command == "bench":
-            required = [name for name in opts.require.split(",") if name]
-            summary = check_bench(opts.path, require=required or None)
         else:
             summary = check_cube(opts.path, opts.expected, cdf_out=opts.cdf_out)
     except CheckFailure as exc:
