@@ -13,7 +13,7 @@ The headline comparison is JSKernel vs the DetBrowser backend
 the CVE rows, and their overhead CDFs differ in shape — divergent cells
 are first-class results (:meth:`CubeResult.divergent_cells`) and are
 pinned by the committed fixture ``tests/golden/cube_expected.json``,
-which the ``cube-smoke`` CI job gates on.
+which ``tests/test_cube.py`` reproduces cell for cell.
 
 Cells run on the PR-3 sharded engine, so ``parallel=N`` and the
 content-addressed result cache work exactly as they do for Table I.

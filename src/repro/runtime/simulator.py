@@ -355,10 +355,14 @@ class Simulator:
         return " -> ".join(self._recent_labels)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue empties or virtual time passes ``until``.
+        """Run until the queue empties or the next live event is past ``until``.
 
-        The clock never moves backwards: an ``until`` below the current
-        dispatch time dispatches nothing and leaves the clock where it is.
+        No event later than ``until`` is dispatched: cancelled entries
+        are skipped and the bound is re-checked against the next head.
+        When the run stops, the clock advances to ``until`` (also when
+        the queue drained early).  The clock never moves backwards: an
+        ``until`` below the current dispatch time dispatches nothing and
+        leaves the clock where it is.
 
         ``max_events`` is a runaway-experiment backstop (default:
         ``$REPRO_MAX_EVENTS`` or :data:`DEFAULT_MAX_EVENTS`); hitting it
@@ -382,12 +386,7 @@ class Simulator:
                 return
             call = heappop(heap)[2]
             if call.cancelled:
-                # seed step semantics: once the head passed the bound
-                # check, the next *live* event dispatches without a
-                # re-check, and a fully-cancelled remainder returns early
-                call = self._pop_next()
-                if call is None:
-                    return
+                continue
             self._time = call.time
             self._live -= 1
             call.sim = None

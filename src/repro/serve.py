@@ -5,7 +5,7 @@ exit.  The service mode keeps an :class:`~repro.harness.parallel.
 ExperimentEngine` resident and accepts **experiment jobs** as JSON lines
 over a local ``AF_UNIX`` socket, streaming incremental results and
 telemetry snapshots back on the same connection — the shape a
-dashboard, a batch scheduler or the CI smoke job talks to.
+dashboard, a batch scheduler or the ``serve`` CLI client talks to.
 
 Protocol (newline-delimited JSON, one object per line, both ways):
 

@@ -3,9 +3,9 @@
 The deterministic tracer (:mod:`repro.trace`) observes virtual time
 *inside* a simulation; this package observes the harness *around* it:
 
-* :mod:`repro.telemetry.sketch` — mergeable quantile sketch and metric
-  set with exact, associative merge algebra (byte-identical snapshots
-  across ``--parallel`` worker counts for integer observations);
+* :mod:`repro.telemetry.sketch` — mergeable quantile sketch with
+  exact, associative merge algebra (byte-identical snapshots across
+  ``--parallel`` worker counts for integer observations);
 * :mod:`repro.telemetry.spans` — wall-clock spans and the structured
   JSONL run log (``RUN_<cmd>.jsonl``);
 * :mod:`repro.telemetry.reporter` — the ``--live`` stderr progress line;
@@ -17,7 +17,7 @@ The deterministic tracer (:mod:`repro.trace`) observes virtual time
 
 from .reporter import LiveReporter, format_duration, format_ns
 from .run import QUEUE_DELAY_PREFIX, RunTelemetry, current_run, telemetry_session
-from .sketch import DEFAULT_QUANTILES, MetricSet, QuantileSketch
+from .sketch import DEFAULT_QUANTILES, QuantileSketch
 from .spans import (
     RUNLOG_ENV,
     SpanRecorder,
@@ -32,7 +32,6 @@ from .export import prometheus_lines, render_prometheus, render_summary, write_t
 __all__ = [
     "DEFAULT_QUANTILES",
     "LiveReporter",
-    "MetricSet",
     "QUEUE_DELAY_PREFIX",
     "QuantileSketch",
     "RUNLOG_ENV",

@@ -7,7 +7,7 @@ A :class:`RunTelemetry` is installed ambiently by
 * every cell completion (cached or computed) bumps the **engine**
   accounting and drives the live reporter;
 * every worker/cell metrics snapshot is folded into one
-  :class:`~repro.telemetry.sketch.MetricSet` **in shard order** — so
+  :class:`~repro.trace.metrics.MetricsRegistry` **in shard order** — so
   the merged counters, histograms and quantile sketches equal a serial
   run's, byte-identically for a fixed seed regardless of the worker
   count, and the parent never holds more than one snapshot's centroids
@@ -33,7 +33,6 @@ from contextlib import contextmanager
 from typing import Dict, Optional
 
 from .reporter import LiveReporter
-from .sketch import MetricSet
 from .spans import RUNLOG_ENV, SpanRecorder, set_recorder
 
 __all__ = [
@@ -61,8 +60,11 @@ class RunTelemetry:
         self.command = command
         self.reporter = reporter
         self.recorder = recorder
+        # deferred: repro.trace.metrics itself imports this package
+        from ..trace.metrics import MetricsRegistry
+
         #: Runtime metrics merged from per-cell/per-worker snapshots.
-        self.metrics = MetricSet()
+        self.metrics = MetricsRegistry()
         #: Engine accounting (deterministic for a fixed cell list).
         self.engine: Dict[str, int] = {
             "runs": 0,
@@ -170,7 +172,7 @@ class RunTelemetry:
             "command": self.command,
             "engine": {key: self.engine[key] for key in sorted(self.engine)},
             "cache": {key: self.cache[key] for key in sorted(self.cache)},
-            "metrics": self.metrics.to_dict(),
+            "metrics": self.metrics.snapshot(),
         }
 
     def report(self) -> dict:

@@ -1,4 +1,4 @@
-"""Mergeable quantile sketches and the mergeable metric set built on them.
+"""Mergeable quantile sketches.
 
 The campaign layer needs Figure-3-style percentiles (queue-delay CDFs,
 dispatch latencies) over runs far too large to keep every sample in
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["QuantileSketch", "MetricSet", "DEFAULT_QUANTILES"]
+__all__ = ["QuantileSketch", "DEFAULT_QUANTILES"]
 
 #: Quantiles reported by :meth:`QuantileSketch.quantiles` by default.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
@@ -292,124 +292,3 @@ class QuantileSketch:
             f"<QuantileSketch n={self.count} centroids={self.centroid_count()} "
             f"min={self.min} max={self.max}>"
         )
-
-
-class MetricSet:
-    """A mergeable set of named counters, gauges, histograms and sketches.
-
-    The aggregation unit of a telemetry run: each worker (or serial
-    cell) produces a :meth:`~repro.trace.MetricsRegistry.snapshot`
-    and the parent folds those snapshots into one ``MetricSet`` **in
-    shard order**, so the merged result equals a serial run's and — for
-    integer observations — is byte-identical no matter how cells were
-    chunked across workers.  Counters and histogram buckets add; gauges
-    are last-write-wins (shard order reproduces the serial final
-    value); sketches merge by centroid addition.
-    """
-
-    def __init__(self):
-        self.counters: Dict[str, Union[int, float]] = {}
-        self.gauges: Dict[str, float] = {}
-        #: name -> histogram snapshot dict (bounds/counts/sum/count/...)
-        self.histograms: Dict[str, dict] = {}
-        self.sketches: Dict[str, QuantileSketch] = {}
-
-    # ------------------------------------------------------------------
-    def inc(self, name: str, amount: Union[int, float] = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter decrement: {amount}")
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: Union[int, float]) -> None:
-        """Record one sample into the named sketch (created on first use)."""
-        sketch = self.sketches.get(name)
-        if sketch is None:
-            sketch = self.sketches[name] = QuantileSketch()
-        sketch.add(value)
-
-    # ------------------------------------------------------------------
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold one metrics snapshot (registry or MetricSet form) in."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauges[name] = value
-        for name, data in snapshot.get("histograms", {}).items():
-            have = self.histograms.get(name)
-            if have is None:
-                self.histograms[name] = {
-                    "bounds": list(data["bounds"]),
-                    "counts": list(data["counts"]),
-                    "sum": data["sum"],
-                    "count": data["count"],
-                    "min": data["min"],
-                    "max": data["max"],
-                }
-                continue
-            if list(have["bounds"]) != list(data["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch: "
-                    f"{have['bounds']} != {data['bounds']}"
-                )
-            have["counts"] = [a + b for a, b in zip(have["counts"], data["counts"])]
-            have["sum"] += data["sum"]
-            have["count"] += data["count"]
-            if data["count"]:
-                have["min"] = (
-                    data["min"] if have["min"] is None else min(have["min"], data["min"])
-                )
-                have["max"] = (
-                    data["max"] if have["max"] is None else max(have["max"], data["max"])
-                )
-        for name, data in snapshot.get("sketches", {}).items():
-            sketch = self.sketches.get(name)
-            if sketch is None:
-                self.sketches[name] = QuantileSketch.from_dict(
-                    data if isinstance(data, dict) else data.to_dict()
-                )
-            else:
-                sketch.merge(data)
-
-    def merged_sketch(self, prefix: str) -> Optional[QuantileSketch]:
-        """Merge every sketch whose name starts with ``prefix``.
-
-        Returns ``None`` when no matching sketch holds any samples.
-        Merging happens on a fresh sketch — the stored ones are never
-        mutated by a read.
-        """
-        merged: Optional[QuantileSketch] = None
-        for name in sorted(self.sketches):
-            if not name.startswith(prefix):
-                continue
-            sketch = self.sketches[name]
-            if sketch.count == 0:
-                continue
-            if merged is None:
-                merged = QuantileSketch(
-                    accuracy=sketch.accuracy, max_centroids=sketch.max_centroids
-                )
-            merged.merge(sketch)
-        return merged
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Canonical plain-dict dump, keys sorted for determinism."""
-        return {
-            "counters": {name: self.counters[name] for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
-            "histograms": {
-                name: dict(self.histograms[name]) for name in sorted(self.histograms)
-            },
-            "sketches": {
-                name: self.sketches[name].to_dict() for name in sorted(self.sketches)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricSet":
-        out = cls()
-        out.merge_snapshot(data)
-        return out

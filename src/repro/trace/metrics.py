@@ -229,6 +229,25 @@ class MetricsRegistry:
             else:
                 sketch.merge(data)
 
+    def merged_sketch(self, prefix: str) -> Optional[QuantileSketch]:
+        """Merge every sketch whose name starts with ``prefix``.
+
+        Returns ``None`` when no matching sketch holds any samples.
+        Merging happens on a fresh sketch — the stored ones are never
+        mutated by a read.
+        """
+        merged: Optional[QuantileSketch] = None
+        for name in sorted(self._sketches):
+            sketch = self._sketches[name]
+            if not name.startswith(prefix) or sketch.count == 0:
+                continue
+            if merged is None:
+                merged = QuantileSketch(
+                    accuracy=sketch.accuracy, max_centroids=sketch.max_centroids
+                )
+            merged.merge(sketch)
+        return merged
+
     def format(self) -> str:
         """Human-readable metrics summary (CLI ``--metrics`` output)."""
         snap = self.snapshot()

@@ -133,22 +133,20 @@ def test_fixture_pins_a_verdict_divergent_cell():
 def test_cube_reproduces_the_fixture_divergence():
     fixture = load_fixture()
     result = run_cube(
-        attacks=["cve-2018-5092"],
-        defenses=["jskernel", "detbrowser"],
+        attacks=fixture["attacks"],
+        defenses=fixture["defenses"],
         seed=fixture["seed"],
         cache=None,
     )
     assert result.errors == []
-    row = result.verdicts["cve-2018-5092"]
-    expected_row = fixture["verdicts"]["cve-2018-5092"]
-    assert row["jskernel"] == expected_row["jskernel"] is True
-    assert row["detbrowser"] == expected_row["detbrowser"] is False
-    divergent = result.divergent_cells()
-    assert {"attack": "cve-2018-5092", "kind": "verdict",
-            "jskernel": True, "detbrowser": False} in divergent
-    # every cell carries an overhead CDF
-    for defense in ("jskernel", "detbrowser"):
-        assert result.overhead["cve-2018-5092"][defense]["queue_delay"]["cdf"]
+    assert result.verdicts == fixture["verdicts"]
+    assert result.details == fixture["details"]
+    divergent = [c for c in result.divergent_cells() if c["kind"] == "verdict"]
+    assert divergent == [c for c in fixture["divergent"] if c["kind"] == "verdict"]
+    # every cell carries a queue-delay overhead CDF
+    for attack in fixture["attacks"]:
+        for defense in fixture["defenses"]:
+            assert result.overhead[attack][defense]["queue_delay"]["cdf"], (attack, defense)
 
 
 def test_cube_json_round_trips():

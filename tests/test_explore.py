@@ -388,3 +388,37 @@ def test_minimize_and_replay_witness(tmp_path):
     second = replay_witness(loaded)
     assert first == second
     assert signature(first) == minimized["signature"]
+
+
+# ----------------------------------------------------------------------
+# CLI: campaign -> minimised witness files -> replay
+# ----------------------------------------------------------------------
+def test_cli_fuzz_writes_minimized_witnesses_that_replay(tmp_path, monkeypatch, capsys):
+    from repro.__main__ import main
+
+    # the CLI overwrites $REPRO_MAX_EVENTS with its own budget; setting
+    # it through monkeypatch restores the variable afterwards
+    monkeypatch.setenv("REPRO_MAX_EVENTS", "1")
+    out = tmp_path / "witnesses"
+    main(["fuzz", "--budget", "20", "--seed", "0", "--no-cache", "--out", str(out)])
+    assert "17 witnesses, 0 kernel order violations" in capsys.readouterr().out
+    paths = sorted(out.glob("*.json"))
+    assert paths
+    witness = load_witness(str(paths[0]))
+    assert witness["signature"] == ["crash", "race:use-after-free"]
+    stats = witness["minimized"]
+    assert stats["atoms_after"] <= stats["atoms_before"]
+
+    main(["fuzz", "--replay", str(paths[0])])  # exits 2 on a drifted signature
+    assert "reproduced twice" in capsys.readouterr().out
+
+
+def test_cli_fuzz_under_jskernel_finds_nothing(tmp_path, monkeypatch, capsys):
+    from repro.__main__ import main
+
+    monkeypatch.setenv("REPRO_MAX_EVENTS", "1")
+    out = tmp_path / "witnesses"
+    main(["fuzz", "--budget", "20", "--seed", "0", "--defense", "jskernel",
+          "--no-cache", "--out", str(out)])
+    assert "0 witnesses, 0 kernel order violations" in capsys.readouterr().out
+    assert not out.exists()

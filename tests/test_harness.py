@@ -12,13 +12,12 @@ from repro.harness import (
 from repro.harness.perf import figure3_cdf
 
 
-def test_run_table1_subset_matches_expected():
-    result = run_table1(
-        attacks=["cve-2018-5092", "css-animation"],
-        defenses=["legacy-chrome", "jskernel"],
-    )
-    assert result.agreement() == 1.0
+def test_run_table1_reproduces_all_176_cells_of_the_paper():
+    result = run_table1()
+    assert sum(len(row) for row in result.matrix.values()) == 176
+    assert result.errors == []
     assert result.disagreements() == []
+    assert result.agreement() == 1.0
     rendered = result.render()
     assert "cve-2018-5092" in rendered and "jskernel" in rendered
 

@@ -237,3 +237,30 @@ def test_shutdown_cancels_a_running_job(tmp_path):
         assert frames[-1]["type"] in ("cancelled", "error")
     finally:
         srv.shutdown()
+
+
+# ----------------------------------------------------------------------
+# the command-line client
+# ----------------------------------------------------------------------
+def test_cli_client_pings_submits_reports_status_and_shuts_down(server, tmp_path, capsys):
+    from repro.__main__ import main
+
+    socket_path = server.socket_path
+
+    def client(*flags):
+        main(["serve", "--socket", socket_path, *flags])
+        return capsys.readouterr().out
+
+    assert json.loads(client("--ping"))["type"] == "pong"
+
+    out = tmp_path / "frames.jsonl"
+    client("--submit", json.dumps(SMALL_JOB), "--out", str(out))  # exits 1 unless done
+    frames = [json.loads(line) for line in out.read_text().splitlines()]
+    assert frames[0]["type"] == "accepted"
+    assert frames[-1]["type"] == "done"
+    assert frames[-1]["report"]["pages"] == 60
+
+    (job,) = json.loads(client("--status"))["jobs"]
+    assert job["id"] == frames[0]["job"] and job["status"] == "done"
+
+    assert json.loads(client("--shutdown"))["type"] == "bye"

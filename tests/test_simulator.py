@@ -57,6 +57,28 @@ def test_run_until_time_stops_before_later_events():
     assert ran == ["early", "late"]
 
 
+def test_run_until_rechecks_the_bound_after_a_cancelled_head():
+    sim = Simulator()
+    ran = []
+    head = sim.schedule(100, lambda: ran.append(100))
+    sim.schedule(200, lambda: ran.append(200))
+    head.cancel()
+    sim.run(until=150)
+    assert ran == []
+    assert sim.now == 150
+    sim.run()
+    assert ran == [200]
+
+
+def test_run_until_over_an_all_cancelled_queue_advances_the_clock():
+    sim = Simulator()
+    for time in (100, 120):
+        sim.schedule(time, lambda: None).cancel()
+    sim.run(until=150)
+    assert sim.now == 150
+    assert sim.pending_events == 0
+
+
 def test_run_until_an_earlier_time_keeps_the_clock():
     sim = Simulator()
     ran = []

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import re
-import sys
 
 import pytest
 
@@ -44,18 +43,61 @@ from repro.telemetry import (
 )
 from repro.trace import metrics as metrics_mod
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
-)
-from ci_checks import check_runlog, check_telemetry  # noqa: E402
-
 MATRIX_ATTACKS = ["clock-edge", "svg-filtering"]
 MATRIX_DEFENSES = ["legacy-chrome", "jskernel"]
+
+#: One ``name{label="v",...} value`` Prometheus exposition sample.
+PROM_SAMPLE = re.compile(
+    r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
+    r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9eE.+NaInf-]+$'
+)
 
 
 def read_records(path):
     with open(path, "r", encoding="utf-8") as handle:
         return [json.loads(line) for line in handle.read().splitlines()]
+
+
+def assert_runlog_balanced(path):
+    """A ``--runlog`` file opens and closes the run, balances every span
+    per process and logs at least one cell outcome."""
+    records = read_records(path)
+    assert all({"ev", "ts", "pid"} <= set(record) for record in records)
+    assert records[0]["ev"] == "run_begin" and records[-1]["ev"] == "run_end"
+    open_spans = set()
+    for record in records:
+        key = (record["pid"], record.get("span"))
+        if record["ev"] == "span_begin":
+            open_spans.add(key)
+        elif record["ev"] == "span_end":
+            assert "dur_s" in record
+            open_spans.remove(key)
+    assert open_spans == set()
+    assert any(record.get("name") == "engine.cell" for record in records)
+    return records
+
+
+def assert_telemetry_report(json_path, prom_path):
+    """A ``--telemetry-out`` report and its Prometheus sibling are
+    well-formed, and the engine accounting balances."""
+    report = json.load(open(json_path))
+    assert set(report) == {"version", "command", "engine", "cache", "metrics", "run"}
+    engine = report["engine"]
+    assert engine["cells"] == engine["computed"] + engine["cached"]
+    for name, data in report["metrics"]["histograms"].items():
+        assert len(data["counts"]) == len(data["bounds"]) + 1, name
+        assert data["overflow"] == data["counts"][-1], name
+    for name, data in report["metrics"].get("sketches", {}).items():
+        weights = sum(w for _i, w, _s in data["pos"]) + sum(w for _i, w, _s in data["neg"])
+        assert data["count"] == data["zero"] + weights, name
+    samples = [
+        line for line in open(prom_path).read().splitlines()
+        if line and not line.startswith("#")
+    ]
+    assert samples
+    assert all(PROM_SAMPLE.match(line) for line in samples)
+    assert any(line.startswith("repro_engine_cells ") for line in samples)
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +327,7 @@ def test_telemetry_session_installs_and_restores_everything(tmp_path, monkeypatc
     names = [r.get("name") for r in records]
     assert "matrix.run" in names
     assert sum(1 for r in records if r.get("name") == "engine.cell") == 4
-    # the validator promoted to CI agrees
-    assert "spans balanced" in check_runlog(path)
+    assert_runlog_balanced(path)
     # live output ended with a newline'd final repaint
     assert stream.getvalue().endswith("\n")
     assert "4/4 cells" in stream.getvalue()
@@ -350,7 +391,7 @@ def test_cache_traffic_is_mirrored_without_double_counting(tmp_path):
     # and kept out of the metrics section: runtime metrics only
     leaked = [
         name
-        for name in telem.metrics.counters
+        for name in telem.metrics.snapshot()["counters"]
         if name.startswith("engine.") or name.startswith("cache.")
     ]
     assert leaked == []
@@ -516,8 +557,7 @@ def test_prometheus_export_grammar_and_content(tmp_path):
     assert prom_path == str(tmp_path / "telemetry.prom")
     assert json.load(open(json_path))["engine"]["cells"] == 1
     assert open(prom_path).read() == render_prometheus(report)
-    # the promoted CI validator accepts what we just wrote
-    assert "Prometheus samples" in check_telemetry(json_path, prom_path)
+    assert_telemetry_report(json_path, prom_path)
 
 
 def test_render_summary_is_one_line():
@@ -555,14 +595,56 @@ def test_cli_cube_writes_runlog_and_telemetry(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "telemetry: cells=2 computed=2" in captured.err
     assert f"wrote {runlog}" in captured.err
-    assert "cell outcomes" in check_runlog(runlog)
-    assert "2 cells (2 computed, 0 cached)" in check_telemetry(
-        out, str(tmp_path / "telemetry.prom")
-    )
+    assert_runlog_balanced(runlog)
+    report = assert_telemetry_report(out, str(tmp_path / "telemetry.prom"))
+    assert report["engine"]["cells"] == report["engine"]["computed"] == 2
     # telemetry mode runs the cube with sketches, so the snapshot's
     # quantiles are populated
-    report = json.load(open(out))
     assert report["run"]["queue_delay_quantiles"]["p95"] > 0
+
+
+def test_cli_sharded_fuzz_writes_runlog_and_telemetry(tmp_path, monkeypatch, capsys):
+    from repro.__main__ import main
+
+    monkeypatch.delenv("REPRO_RUNLOG", raising=False)
+    # the CLI overwrites $REPRO_MAX_EVENTS with its own budget; setting
+    # it through monkeypatch restores the variable afterwards
+    monkeypatch.setenv("REPRO_MAX_EVENTS", "1")
+    runlog = str(tmp_path / "RUN_fuzz.jsonl")
+    out = str(tmp_path / "telemetry.json")
+    rc = main(
+        [
+            "fuzz",
+            "--attack",
+            "cve-2018-5092",
+            "--defense",
+            "legacy-chrome",
+            "--budget",
+            "20",
+            "--parallel",
+            "2",
+            "--no-cache",
+            "--no-minimize",
+            "--max-witnesses",
+            "1",
+            "--out",
+            str(tmp_path / "witnesses"),
+            "--runlog",
+            runlog,
+            "--telemetry-out",
+            out,
+        ]
+    )
+    assert rc == 0
+    assert "17 witnesses" in capsys.readouterr().out
+    records = assert_runlog_balanced(runlog)
+    # the pool workers appended their own records to the shared log
+    assert len({record["pid"] for record in records}) > 1
+    report = assert_telemetry_report(out, str(tmp_path / "telemetry.prom"))
+    assert report["command"] == "fuzz"
+    assert report["engine"]["cells"] == report["engine"]["computed"] == 2
+    assert report["engine"]["errors"] == 0
+    assert report["metrics"]["histograms"]
 
 
 def test_cli_rejects_telemetry_flags_on_non_experiment_commands(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the mergeable quantile sketch and metric set.
+"""Tests for the mergeable quantile sketch.
 
 The telemetry layer's correctness rests on two properties pinned here:
 
@@ -21,7 +21,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry.sketch import DEFAULT_QUANTILES, MetricSet, QuantileSketch
+from repro.telemetry.sketch import DEFAULT_QUANTILES, QuantileSketch
+from repro.trace.metrics import MetricsRegistry
 
 
 def make(values, **kwargs):
@@ -222,78 +223,23 @@ def test_merge_collapses_to_the_tighter_bound():
 
 
 # ----------------------------------------------------------------------
-# MetricSet
+# sketches inside the metrics registry
 # ----------------------------------------------------------------------
-def histogram_snapshot(bounds, counts, total, count, lo, hi):
-    return {
-        "bounds": bounds,
-        "counts": counts,
-        "sum": total,
-        "count": count,
-        "min": lo,
-        "max": hi,
-    }
-
-
-def test_metric_set_merges_counters_gauges_histograms_and_sketches():
-    metrics = MetricSet()
-    metrics.inc("cells", 2)
-    metrics.set_gauge("depth", 1.0)
-    metrics.observe("lat", 10)
-    snapshot = {
-        "counters": {"cells": 3, "other": 1},
-        "gauges": {"depth": 4.0},
-        "histograms": {"h": histogram_snapshot([10, 100], [1, 2, 1], 150, 4, 3, 120)},
-        "sketches": {"lat": make([20, 30]).to_dict()},
-    }
-    metrics.merge_snapshot(snapshot)
-    metrics.merge_snapshot(snapshot)
-
-    assert metrics.counters == {"cells": 8, "other": 2}
-    assert metrics.gauges == {"depth": 4.0}  # last write wins
-    merged = metrics.histograms["h"]
-    assert merged["counts"] == [2, 4, 2]
-    assert merged["count"] == 8 and merged["sum"] == 300
-    assert merged["min"] == 3 and merged["max"] == 120
-    assert metrics.sketches["lat"].count == 5  # 1 observed + 2x2 merged
-    assert canonical(metrics.sketches["lat"]) == canonical(make([10, 20, 30, 20, 30]))
-
-
-def test_metric_set_rejects_histogram_bucket_mismatch_and_negative_counters():
-    metrics = MetricSet()
-    metrics.merge_snapshot(
-        {"histograms": {"h": histogram_snapshot([10], [1, 0], 5, 1, 5, 5)}}
-    )
-    with pytest.raises(ValueError, match="bucket mismatch"):
-        metrics.merge_snapshot(
-            {"histograms": {"h": histogram_snapshot([20], [1, 0], 5, 1, 5, 5)}}
-        )
-    with pytest.raises(ValueError, match="decrement"):
-        metrics.inc("c", -1)
-
-
 def test_merged_sketch_selects_by_prefix_without_mutating():
-    metrics = MetricSet()
-    for value in (1, 2, 3):
-        metrics.observe("eventloop.queue_delay_ns.main", value)
-    for value in (10, 20):
-        metrics.observe("eventloop.queue_delay_ns.worker", value)
-    metrics.observe("kernel.latency_ns", 999)
+    registry = MetricsRegistry()
+    registry.sketch_observations = True
+    for name, values in (
+        ("eventloop.queue_delay_ns.main", (1, 2, 3)),
+        ("eventloop.queue_delay_ns.worker", (10, 20)),
+        ("kernel.latency_ns", (999,)),
+    ):
+        histogram = registry.histogram(name)
+        for value in values:
+            histogram.record(value)
 
-    merged = metrics.merged_sketch("eventloop.queue_delay_ns.")
+    merged = registry.merged_sketch("eventloop.queue_delay_ns.")
     assert merged.count == 5
     assert merged.max == 20  # kernel sketch not included
     # reading never mutates the stored sketches
-    assert metrics.sketches["eventloop.queue_delay_ns.main"].count == 3
-    assert metrics.merged_sketch("no.such.prefix") is None
-
-
-def test_metric_set_round_trip():
-    metrics = MetricSet()
-    metrics.inc("a")
-    metrics.set_gauge("g", 2.5)
-    metrics.observe("s", 7)
-    revived = MetricSet.from_dict(json.loads(json.dumps(metrics.to_dict())))
-    assert json.dumps(revived.to_dict(), sort_keys=True) == json.dumps(
-        metrics.to_dict(), sort_keys=True
-    )
+    assert registry.snapshot()["sketches"]["eventloop.queue_delay_ns.main"]["count"] == 3
+    assert registry.merged_sketch("no.such.prefix") is None

@@ -174,6 +174,55 @@ def test_sketch_observations_tee_histograms_into_sketches():
     assert "sketches" not in plain.snapshot()
 
 
+def test_registry_merge_folds_counters_gauges_histograms_and_sketches():
+    worker = MetricsRegistry()
+    worker.sketch_observations = True
+    worker.counter("cells").inc(3)
+    worker.gauge("depth").set(4.0)
+    histogram = worker.histogram("h", (10, 100))
+    for value in (3, 20, 50, 120):
+        histogram.record(value)
+    snap = worker.snapshot()
+
+    merged = MetricsRegistry()
+    merged.counter("cells").inc(2)
+    merged.gauge("depth").set(1.0)
+    merged.merge_snapshot(snap)
+    merged.merge_snapshot(snap)
+    out = merged.snapshot()
+    assert out["counters"] == {"cells": 8}
+    assert out["gauges"] == {"depth": 4.0}  # last write wins
+    h = out["histograms"]["h"]
+    assert h["counts"] == [2, 4, 2] and h["overflow"] == 2
+    assert h["count"] == 8 and h["sum"] == 386
+    assert h["min"] == 3 and h["max"] == 120
+    assert out["sketches"]["h"]["count"] == 8
+
+
+def test_registry_snapshot_round_trips_through_json_and_merge():
+    worker = MetricsRegistry()
+    worker.sketch_observations = True
+    worker.counter("a").inc()
+    worker.gauge("g").set(2.5)
+    worker.histogram("s", (10, 100)).record(7)
+    snap = worker.snapshot()
+
+    fresh = MetricsRegistry()
+    fresh.merge_snapshot(json.loads(json.dumps(snap)))
+    assert json.dumps(fresh.snapshot(), sort_keys=True) == json.dumps(
+        snap, sort_keys=True
+    )
+
+
+def test_registry_merge_rejects_a_histogram_bucket_mismatch():
+    registry = MetricsRegistry()
+    registry.histogram("h", (10,)).record(5)
+    other = MetricsRegistry()
+    other.histogram("h", (20,)).record(5)
+    with pytest.raises(ValueError, match="bucket mismatch"):
+        registry.merge_snapshot(other.snapshot())
+
+
 # ----------------------------------------------------------------------
 # Chrome-trace export
 # ----------------------------------------------------------------------
@@ -203,6 +252,19 @@ def test_timeline_is_sorted_and_mentions_events():
     assert any("first" in line for line in lines)
     stamps = [float(line.split("ms")[0]) for line in lines]
     assert stamps == sorted(stamps)
+
+
+def test_cli_trace_matrix_writes_a_chrome_trace(tmp_path, capsys):
+    from repro.__main__ import main
+
+    path = str(tmp_path / "trace.json")
+    main(["trace", "matrix", "--out", path])
+    assert f"wrote {path}" in capsys.readouterr().out
+    events = json.load(open(path))["traceEvents"]
+    real = [e for e in events if e["ph"] != "M"]
+    assert real
+    assert all("ts" in e and "pid" in e and "tid" in e for e in real)
+    assert any(e["ph"] == "M" and e["name"] == "thread_name" for e in events)
 
 
 # ----------------------------------------------------------------------
