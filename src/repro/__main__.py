@@ -5,14 +5,6 @@ Commands:
 * ``matrix [--full]``      — regenerate (a slice of) Table I
 * ``table2``               — SVG filtering + loopscan measurements
 * ``figure2``              — script-parsing size sweep
-* ``bench``                — serial-vs-parallel matrix baseline::
-
-      python -m repro bench [--full] [--parallel N] [--out FILE]
-
-  Times the same Table I cells serially and sharded over N workers,
-  asserts the results are identical, exercises the warm-cache path, and
-  writes a ``BENCH_matrix.json`` wall-clock baseline artifact.
-  Hot-path timing lives in the repo benchmark, ``python3 perfbench/run.py``.
 * ``dromaeo``              — JSKernel Dromaeo overhead report
 * ``compat``               — API-compat counts + DOM similarity (small)
 * ``attacks``              — list every attack row
@@ -100,8 +92,7 @@ offline digging, and the top 20 functions by cumulative time are
 printed.
 
 The experiment commands (``matrix``, ``table2``, ``figure2``, ``fuzz``,
-``cube``) additionally accept the parallel-engine flags (``bench`` takes
-only ``--parallel``):
+``cube``, ``population``) additionally accept the parallel-engine flags:
 
 * ``--parallel N``   — shard cells over N worker processes (results are
   byte-identical to the serial run; see ``repro.harness.parallel``)
@@ -209,85 +200,6 @@ def _cmd_figure2(args) -> None:
         cache=cache,
     )
     print(render_series(series, title="Figure 2: reported time (ms) per size (MB)"))
-
-
-#: The matrix slice ``bench`` times by default (--full uses all cells).
-BENCH_ATTACKS = ["cache-attack", "clock-edge", "loopscan", "svg-filtering", "cve-2018-5092"]
-BENCH_DEFENSES = ["legacy-chrome", "fuzzyfox", "deterfox", "tor", "chromezero", "jskernel"]
-
-
-def _cmd_bench(args) -> None:
-    """Serial vs parallel Table I baseline; writes BENCH_matrix.json."""
-    import tempfile
-    import time
-
-    from .harness import ResultCache
-
-    args = list(args)
-    out = _flag_value(args, "--out", "BENCH_matrix.json")
-    workers_arg = _flag_value(args, "--parallel", "2")
-    full = "--full" in args
-    if full:
-        args.remove("--full")
-    if args:
-        _die(
-            f"bench takes [--full] [--parallel N] [--out FILE], got {' '.join(args)!r}; "
-            "hot-path timing lives in 'python3 perfbench/run.py'"
-        )
-    try:
-        workers = int(workers_arg)
-    except ValueError:
-        _die(f"--parallel takes an integer worker count, got {workers_arg!r}")
-    if workers < 2:
-        _die("bench compares serial against a sharded run; --parallel must be >= 2")
-    attacks = None if full else BENCH_ATTACKS
-    defenses = None if full else BENCH_DEFENSES
-
-    start = time.perf_counter()
-    serial = run_table1(attacks=attacks, defenses=defenses)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = run_table1(attacks=attacks, defenses=defenses, parallel=workers)
-    parallel_s = time.perf_counter() - start
-
-    identical = serial.matrix == sharded.matrix and serial.details == sharded.details
-
-    with tempfile.TemporaryDirectory() as tmp:
-        run_table1(attacks=attacks, defenses=defenses, parallel=workers, cache=ResultCache(tmp))
-        warm = run_table1(attacks=attacks, defenses=defenses, parallel=workers,
-                          cache=ResultCache(tmp))
-        warm_identical = (
-            warm.matrix == serial.matrix and warm.details == serial.details
-        )
-
-    cells = sum(len(row) for row in serial.matrix.values())
-    report = {
-        "cells": cells,
-        "workers": workers,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-        "identical": identical,
-        "warm_cache_computed": warm.computed_cells,
-        "warm_cache_hits": warm.cached_cells,
-        "warm_identical": warm_identical,
-        "errors": serial.errors + sharded.errors,
-    }
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"{cells} cells: serial {serial_s:.2f}s, parallel({workers}) {parallel_s:.2f}s "
-        f"({report['speedup']}x), warm cache recomputed {warm.computed_cells} "
-        f"(wrote {out})"
-    )
-    if not identical:
-        _die("parallel matrix differs from the serial run")
-    if not warm_identical:
-        _die("warm-cache matrix differs from the serial run")
-    if warm.computed_cells:
-        _die(f"warm cache recomputed {warm.computed_cells} cells (expected 0)")
 
 
 def _cmd_dromaeo(_args) -> None:
@@ -780,10 +692,13 @@ def _cmd_population(args) -> None:
     if mode not in ("model", "sim"):
         _die(f"--mode takes 'model' or 'sim', got {mode!r}")
 
-    report = population_sweep(
-        size, seed=seed, mode=mode, visits=visits, sessions=sessions,
-        parallel=parallel, cache=cache, window=window,
-    )
+    try:
+        report = population_sweep(
+            size, seed=seed, mode=mode, visits=visits, sessions=sessions,
+            parallel=parallel, cache=cache, window=window,
+        )
+    except ValueError as exc:  # e.g. the engine rejecting --window 0
+        _die(str(exc))
     payload = json.dumps(report, indent=2, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -903,7 +818,6 @@ COMMANDS = {
     "matrix": _cmd_matrix,
     "table2": _cmd_table2,
     "figure2": _cmd_figure2,
-    "bench": _cmd_bench,
     "dromaeo": _cmd_dromaeo,
     "compat": _cmd_compat,
     "attacks": _cmd_attacks,
@@ -934,7 +848,7 @@ def _run_profiled(command: str, fn, rest) -> None:
 
 
 #: Commands the telemetry flags (--live/--telemetry-out/--runlog) apply to.
-TELEMETRY_COMMANDS = ("matrix", "table2", "figure2", "bench", "fuzz", "cube", "population")
+TELEMETRY_COMMANDS = ("matrix", "table2", "figure2", "fuzz", "cube", "population")
 
 
 def main(argv=None) -> int:

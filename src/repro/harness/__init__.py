@@ -17,7 +17,7 @@ from .compat import (
 from .cache import ResultCache, as_cache, code_fingerprint, default_cache_dir
 from .cube import CUBE_PAIR, CubeResult, overhead_profile, run_cube, run_cube_cell
 from .matrix import TableOneResult, run_table1
-from .parallel import Cell, CellResult, ExperimentEngine, run_cells
+from .parallel import Cell, CellResult, ExperimentEngine
 from .perf import (
     FIGURE2_DEFENSES,
     FIGURE2_SIZES,
@@ -59,7 +59,6 @@ __all__ = [
     "figure2_script_parsing",
     "figure3_cdf",
     "render_determinism",
-    "run_cells",
     "run_table1",
     "table2_svg_loopscan",
     "table3_raptor",

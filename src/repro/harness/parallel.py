@@ -6,9 +6,8 @@ Table I ``(attack, defense, seed)`` cell, determinism-audit seed, Figure
 parameters.  This module shards those cells across a process pool and
 reassembles the results in submission order, so a parallel run is
 byte-identical to a serial one — determinism is the repo's headline
-property, and the engine is itself audited by the existing
-:mod:`repro.analysis.determinism` machinery (see ``python -m repro bench``
-and ``tests/test_parallel_engine.py``).
+property, and the engine is itself audited by
+``tests/test_parallel_engine.py`` and ``tests/test_streaming_engine.py``.
 
 Execution model
 ---------------
@@ -18,8 +17,11 @@ Execution model
   ``spawn`` start methods).
 * ``workers <= 1`` runs cells in-process, in order, under whatever tracer
   capture is ambient — exactly the historical serial behaviour.
+* There is one execution path, :meth:`ExperimentEngine.stream`;
+  :meth:`ExperimentEngine.run` is ``list(stream(cells))``.
 * ``workers > 1`` dispatches contiguous chunks to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker runs its
+  :class:`~concurrent.futures.ProcessPoolExecutor`, keeping a bounded
+  window of chunks in flight.  Each worker runs its
   chunk under a private :class:`~repro.trace.Tracer` when the parent has
   an enabled capture, and the parent merges the per-worker metrics
   snapshots back into the ambient registry **in chunk order**, so
@@ -28,8 +30,8 @@ Execution model
 * Every cell is individually guarded: a poisoned cell produces a
   :class:`CellResult` with ``error`` set instead of killing the pool.
 * With a :class:`~repro.harness.cache.ResultCache`, cells already on disk
-  are never dispatched at all, and fresh results are stored after the
-  run; computed payloads are JSON-normalised first so a warm rerun
+  are never dispatched at all, and fresh results are stored as each
+  completes; computed payloads are JSON-normalised first so a warm rerun
   returns byte-identical objects.
 """
 
@@ -39,6 +41,7 @@ import json
 import math
 import traceback
 from collections import deque
+from collections.abc import Sized
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -49,7 +52,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -286,9 +288,14 @@ class ExperimentEngine:
     ``workers=None``/``0``/``1`` runs serially in-process (the ambient
     tracer capture applies directly); ``workers=N`` fans chunks out to N
     processes.  ``cache`` accepts anything :func:`~repro.harness.cache.as_cache`
-    does.  After :meth:`run`, :attr:`computed`, :attr:`cache_hits` and
+    does.  After a run, :attr:`computed`, :attr:`cache_hits` and
     :attr:`errors` describe what happened.
     """
+
+    #: Chunk size for an unsized cell iterator when ``chunk_size`` is
+    #: unset: a fixed batch amortises process dispatch while keeping the
+    #: resident window small (``window * STREAM_CHUNK`` cells at most).
+    STREAM_CHUNK = 32
 
     def __init__(
         self,
@@ -303,121 +310,34 @@ class ExperimentEngine:
         self.cache_hits = 0
         self.errors = 0
 
-    # ------------------------------------------------------------------
-    def run(self, cells: Sequence[Cell]) -> List[CellResult]:
+    def run(self, cells: Iterable[Cell]) -> List[CellResult]:
         """Execute every cell; results come back in submission order."""
-        cells = list(cells)
-        telem = current_run()
-        results: List[Optional[CellResult]] = [None] * len(cells)
-        # counters accumulate across run() calls; metrics report deltas
-        computed_before = self.computed
-        cache_hits_before = self.cache_hits
-        errors_before = self.errors
-        cache_before = (
-            (self.cache.hits, self.cache.misses, self.cache.stores)
-            if self.cache is not None
-            else None
-        )
-        if telem is not None:
-            telem.engine_run_started(len(cells), self.workers)
-
-        pending: List[Tuple[int, Cell]] = []
-        keys: Dict[int, str] = {}
-        for index, cell in enumerate(cells):
-            if self.cache is not None:
-                key = self.cache.key(cell.kind, cell.params)
-                keys[index] = key
-                entry = self.cache.get(key)
-                if entry is not None:
-                    self.cache_hits += 1
-                    results[index] = CellResult(cell, payload=entry["payload"], cached=True)
-                    if telem is not None:
-                        telem.cell_finished(cell, ok=True, cached=True)
-                    continue
-            pending.append((index, cell))
-
-        if pending:
-            pending_cells = [cell for _i, cell in pending]
-            if self.workers > 1:
-                raw = self._iter_pool(pending_cells, telem)
-            else:
-                raw = self._iter_serial(pending_cells, telem)
-            for (index, cell), outcome in zip(pending, raw):
-                self.computed += 1
-                if outcome["ok"]:
-                    result = CellResult(cell, payload=outcome["payload"])
-                    if self.cache is not None:
-                        self.cache.put(keys[index], cell.kind, cell.params, outcome["payload"])
-                else:
-                    self.errors += 1
-                    result = CellResult(cell, error=outcome["error"])
-                results[index] = result
-                if telem is not None:
-                    # the worker (parallel) or the serial loop's span
-                    # already logged this cell; just account and repaint
-                    telem.cell_finished(
-                        cell,
-                        ok=outcome["ok"],
-                        cached=False,
-                        error=outcome["error"],
-                        emit=self.workers <= 1,
-                    )
-
-        tracer = current_tracer()
-        if tracer.enabled:
-            # surface engine traffic in --metrics output alongside the
-            # cache's own get/put counters (see repro.harness.cache)
-            metrics = tracer.metrics
-            metrics.counter("engine.cells").inc(len(cells))
-            metrics.counter("engine.computed").inc(self.computed - computed_before)
-            metrics.counter("engine.cache_hits").inc(self.cache_hits - cache_hits_before)
-            if self.errors > errors_before:
-                metrics.counter("engine.errors").inc(self.errors - errors_before)
-        if telem is not None and cache_before is not None:
-            # mirror the ResultCache's own traffic counters (delta for
-            # this run) into the snapshot's dedicated cache section —
-            # the cache.* counters in the ambient registry stay where
-            # they are, and the telemetry metrics section never carries
-            # them, so nothing is double-counted
-            telem.record_cache_traffic(
-                self.cache.hits - cache_before[0],
-                self.cache.misses - cache_before[1],
-                self.cache.stores - cache_before[2],
-            )
-
-        return [result for result in results if result is not None]
-
-    # ------------------------------------------------------------------
-    # streaming execution
-    # ------------------------------------------------------------------
-
-    #: Chunk size :meth:`stream` uses when ``chunk_size`` is unset.
-    #: A streaming run does not know its total cell count up front, so a
-    #: fixed batch amortises process dispatch while keeping the resident
-    #: window small (``window * STREAM_CHUNK`` cells at most).
-    STREAM_CHUNK = 32
+        return list(self.stream(list(cells)))
 
     def stream(
         self,
         cells: Iterable[Cell],
         window: Optional[int] = None,
     ) -> Iterator[CellResult]:
-        """Execute a cell *iterator* with a bounded in-flight window.
+        """Execute cells with a bounded in-flight window.
 
-        Unlike :meth:`run`, which materialises every cell and result,
         ``stream`` pulls cells lazily, keeps at most ``window`` chunks
         in flight (default ``2 * workers``), and yields each
         :class:`CellResult` as its shard completes — in **submission
-        order**, so per-chunk metrics snapshots still merge in shard
-        order and the merged telemetry equals a serial run's.  Resident
-        state never exceeds the window: a million-cell sweep whose
-        consumer aggregates into mergeable sketches runs in flat memory.
+        order**, so per-chunk metrics snapshots merge in shard order and
+        the merged telemetry equals a serial run's.  Resident state
+        never exceeds the window: a million-cell sweep whose consumer
+        aggregates into mergeable sketches runs in flat memory.
 
         Closing the generator early (``break``, per-job cancellation in
         serve mode) cancels every chunk that has not started and waits
         only for the chunks already running.
         """
+        if window is not None and (type(window) is not int or window < 1):
+            raise ValueError(f"window must be an integer >= 1, got {window!r}")
+        total = len(cells) if isinstance(cells, Sized) else None
         telem = current_run()
+        # counters accumulate across runs; metrics report this run's deltas
         computed_before = self.computed
         cache_hits_before = self.cache_hits
         errors_before = self.errors
@@ -427,11 +347,11 @@ class ExperimentEngine:
             else None
         )
         if telem is not None:
-            telem.engine_stream_started(self.workers)
+            telem.engine_started(self.workers, cells=total)
         yielded = 0
         try:
             if self.workers > 1:
-                source = self._stream_pool(cells, telem, window)
+                source = self._stream_pool(cells, telem, window, total)
             else:
                 source = self._stream_serial(cells, telem)
             for result in source:
@@ -440,6 +360,8 @@ class ExperimentEngine:
         finally:
             tracer = current_tracer()
             if tracer.enabled:
+                # surface engine traffic in --metrics output alongside the
+                # cache's own get/put counters (see repro.harness.cache)
                 metrics = tracer.metrics
                 metrics.counter("engine.cells").inc(yielded)
                 metrics.counter("engine.computed").inc(self.computed - computed_before)
@@ -449,6 +371,10 @@ class ExperimentEngine:
                 if self.errors > errors_before:
                     metrics.counter("engine.errors").inc(self.errors - errors_before)
             if telem is not None and cache_before is not None:
+                # mirror the ResultCache's own traffic counters (delta for
+                # this run) into the snapshot's dedicated cache section;
+                # the telemetry metrics section never carries cache.*
+                # counters, so nothing is double-counted
                 telem.record_cache_traffic(
                     self.cache.hits - cache_before[0],
                     self.cache.misses - cache_before[1],
@@ -503,21 +429,27 @@ class ExperimentEngine:
         cells: Iterable[Cell],
         telem: Optional[RunTelemetry],
         window: Optional[int],
+        total: Optional[int],
     ) -> Iterator[CellResult]:
         """Chunked pool streaming with a bounded in-flight window.
 
         Cache hits and completed chunks are yielded strictly in
         submission order; admission blocks (on the oldest future) once
         ``window`` chunks are in flight, which is what bounds both the
-        pool's backlog and the parent's resident state.
+        pool's backlog and the parent's resident state.  A sized input
+        of ``total`` cells is cut into about four chunks per worker, so
+        even a short list fans out across the pool.
         """
         tracer = current_tracer()
         collect_telemetry = telem is not None
         collect_metrics = tracer.enabled or collect_telemetry
-        chunk = self.chunk_size or self.STREAM_CHUNK
-        window = int(window) if window else max(2, self.workers * 2)
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        if self.chunk_size:
+            chunk = self.chunk_size
+        elif total is not None:
+            chunk = max(1, math.ceil(total / (4 * self.workers)))
+        else:
+            chunk = self.STREAM_CHUNK
+        window = window or max(2, self.workers * 2)
 
         #: ("hit", cell, payload) | ("chunk", shard, [(cell, key)...], future)
         out: deque = deque()
@@ -639,61 +571,10 @@ class ExperimentEngine:
             ambient.metrics.merge_snapshot(snapshot)
         return outcome
 
-    def _iter_serial(self, cells: Iterable[Cell], telem: Optional[RunTelemetry]):
-        """In-process execution, yielding outcomes one cell at a time."""
-        for cell in cells:
-            yield self._serial_outcome(cell, telem)
-
-    def _iter_pool(self, cells: List[Cell], telem: Optional[RunTelemetry]):
-        """Chunked pool dispatch, yielding outcomes in submission order.
-
-        Per-chunk metrics snapshots merge back in chunk order (both into
-        the ambient tracer and the telemetry run), which keeps parallel
-        runs metric-identical to serial ones regardless of completion
-        order.
-        """
-        tracer = current_tracer()
-        collect_telemetry = telem is not None
-        collect_metrics = tracer.enabled or collect_telemetry
-        specs = [(cell.kind, cell.params) for cell in cells]
-        chunk = self.chunk_size or max(1, math.ceil(len(specs) / (self.workers * 4)))
-        batches = [
-            (specs[start : start + chunk], collect_metrics, collect_telemetry, shard)
-            for shard, start in enumerate(range(0, len(specs), chunk))
-        ]
-        if telem is not None:
-            telem.shards_planned(len(batches))
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            # pool.map preserves batch order, which keeps result assembly
-            # and metrics merging deterministic regardless of completion
-            # order
-            for shard, (chunk_results, snapshot) in enumerate(
-                pool.map(_run_chunk, batches)
-            ):
-                if snapshot is not None:
-                    if tracer.enabled:
-                        tracer.metrics.merge_snapshot(snapshot)
-                    if telem is not None:
-                        telem.merge_metrics(snapshot)
-                if telem is not None:
-                    telem.shard_done(shard, len(chunk_results))
-                for outcome in chunk_results:
-                    yield outcome
-
-
-def run_cells(
-    cells: Sequence[Cell],
-    parallel: Optional[int] = None,
-    cache=None,
-) -> List[CellResult]:
-    """One-shot convenience wrapper around :class:`ExperimentEngine`."""
-    return ExperimentEngine(workers=parallel, cache=cache).run(cells)
-
 
 __all__ = [
     "Cell",
     "CellResult",
     "ExperimentEngine",
     "cell_kind",
-    "run_cells",
 ]

@@ -1,4 +1,4 @@
-"""Live stderr progress for matrix / cube / fuzz / bench runs (``--live``).
+"""Live stderr progress for matrix / cube / fuzz / population runs (``--live``).
 
 A campaign used to run dark until it returned; the reporter repaints a
 single status line as cells complete::

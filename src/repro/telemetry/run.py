@@ -84,23 +84,23 @@ class RunTelemetry:
     # ------------------------------------------------------------------
     # engine hooks
     # ------------------------------------------------------------------
-    def engine_run_started(self, cells: int, workers: int) -> None:
+    def engine_started(self, workers: int, cells: Optional[int] = None) -> None:
+        """An engine run begins; ``cells`` is its size when known up front.
+
+        A sized run announces its total so the live line shows
+        ``k/N cells`` and an ETA from the first repaint; the cells
+        themselves are counted as they are admitted.
+        """
         self.engine["runs"] += 1
-        self.engine["cells"] += cells
-        self.total_cells += cells
+        if cells is not None:
+            self.total_cells = self.engine["cells"] + cells
         if self.recorder is not None:
             self.recorder.point("engine.run", cells=cells, workers=workers)
 
-    def engine_stream_started(self, workers: int) -> None:
-        """A streaming run begins; its cell count is unknown up front."""
-        self.engine["runs"] += 1
-        if self.recorder is not None:
-            self.recorder.point("engine.stream", workers=workers)
-
     def cell_admitted(self, count: int = 1) -> None:
-        """A streaming run pulled ``count`` more cells from its iterator."""
+        """The engine pulled ``count`` more cells from its input."""
         self.engine["cells"] += count
-        self.total_cells += count
+        self.total_cells = max(self.total_cells, self.engine["cells"])
 
     def shards_planned(self, count: int) -> None:
         self.shards["total"] += count

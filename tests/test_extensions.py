@@ -1,7 +1,5 @@
 """Tests for extension features beyond Table I: the SAB timer and the CLI."""
 
-import pytest
-
 from repro.attacks import create
 from repro.attacks.registry import EXTENSION_ATTACKS
 from repro.attacks.timing.sab_timer import SabTimerAttack
@@ -75,19 +73,6 @@ def test_cli_help_and_unknown(capsys):
     assert main(["--help"]) == 0
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
-
-
-@pytest.mark.parametrize(
-    "argv", [["bench", "core"], ["bench", "--quick"]], ids=["core", "unknown-flag"]
-)
-def test_cli_bench_rejects_leftover_arguments(argv, capsys):
-    """Unknown arguments must not fall through to the multi-minute run."""
-    from repro.__main__ import main
-
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    assert "python3 perfbench/run.py" in capsys.readouterr().err
 
 
 def test_cli_table2_runs(capsys):

@@ -220,7 +220,7 @@ def test_live_reporter_renders_progress_and_throttles():
     telemetry.reporter = LiveReporter(
         "cube", stream=stream, interval=0.2, now=clock, interactive=True
     )
-    telemetry.engine_run_started(cells=4, workers=2)
+    telemetry.engine_started(workers=2, cells=4)
     telemetry.shards_planned(2)
 
     cell = Cell("cube", {"attack": "a", "defense": "d", "seed": 0})
@@ -258,7 +258,7 @@ def test_live_reporter_falls_back_to_newlines_off_tty():
     # the non-interactive throttle is much coarser than the TTY repaint
     assert reporter.interval == 5.0
 
-    telemetry.engine_run_started(cells=4, workers=2)
+    telemetry.engine_started(workers=2, cells=4)
     cell = Cell("cube", {"attack": "a", "defense": "d", "seed": 0})
     clock.moment += 6.0
     telemetry.cell_finished(cell, ok=True, cached=False)
