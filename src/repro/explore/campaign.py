@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.scenario import run_traced_scenario
 from ..harness.parallel import Cell, ExperimentEngine
@@ -337,7 +337,6 @@ def run_diff_campaign(
     cache=None,
     shard_size: int = DEFAULT_SHARD,
     max_witnesses: Optional[int] = None,
-    on_result: Optional[Callable[[int, dict], None]] = None,
 ) -> dict:
     """Hunt schedules where one defense holds and the other leaks.
 
@@ -349,8 +348,6 @@ def run_diff_campaign(
     streamed through :meth:`~repro.harness.parallel.ExperimentEngine.
     stream`, so ``parallel``/``cache`` behave like every other campaign
     and the resident state is one shard's payload plus the aggregate.
-    ``on_result`` is called after every shard with ``(attempted_trials,
-    partial report)`` — the serve mode's progress hook.
     """
     cells = _shard_cells(
         "fuzz-diff",
@@ -366,8 +363,6 @@ def run_diff_campaign(
         payload = aggregate.admit(result)
         if payload is not None:
             divergent += payload["divergent"]
-        if on_result is not None:
-            on_result(aggregate.attempted_trials, _partial(aggregate, engine))
 
     report = aggregate.report()
     report.update(
@@ -397,7 +392,6 @@ def run_campaign(
     shard_size: int = DEFAULT_SHARD,
     check_determinism: Optional[bool] = None,
     max_witnesses: Optional[int] = None,
-    on_result: Optional[Callable[[int, dict], None]] = None,
 ) -> dict:
     """Run a full campaign, sharded and streamed over the engine.
 
@@ -407,8 +401,7 @@ def run_campaign(
     ``max_witnesses`` when given.  ``trials`` counts trials of
     successful shards only; ``attempted_trials`` / ``failed_shards``
     surface the difference so progress reporting cannot overstate a
-    campaign with poisoned shards.  ``on_result`` is called after every
-    shard with ``(attempted_trials, partial report)``.
+    campaign with poisoned shards.
     """
     cells = _shard_cells(
         "fuzz",
@@ -427,8 +420,6 @@ def run_campaign(
             order_violations += payload["order_violations"]
             for outcome, n in payload["outcomes"].items():
                 outcomes[outcome] = outcomes.get(outcome, 0) + n
-        if on_result is not None:
-            on_result(aggregate.attempted_trials, _partial(aggregate, engine))
 
     report = aggregate.report()
     report.update(
@@ -445,18 +436,6 @@ def run_campaign(
         }
     )
     return report
-
-
-def _partial(aggregate: CampaignAggregate, engine: ExperimentEngine) -> dict:
-    """The in-flight progress view handed to ``on_result`` hooks."""
-    return {
-        "trials": aggregate.trials,
-        "attempted_trials": aggregate.attempted_trials,
-        "failed_shards": aggregate.failed_shards,
-        "errors": aggregate.errors,
-        "computed_shards": engine.computed,
-        "cached_shards": engine.cache_hits,
-    }
 
 
 __all__ = [

@@ -329,9 +329,8 @@ class ExperimentEngine:
         never exceeds the window: a million-cell sweep whose consumer
         aggregates into mergeable sketches runs in flat memory.
 
-        Closing the generator early (``break``, per-job cancellation in
-        serve mode) cancels every chunk that has not started and waits
-        only for the chunks already running.
+        Closing the generator early (``break``) cancels every chunk that
+        has not started and waits only for the chunks already running.
         """
         if window is not None and (type(window) is not int or window < 1):
             raise ValueError(f"window must be an integer >= 1, got {window!r}")
@@ -438,7 +437,9 @@ class ExperimentEngine:
         ``window`` chunks are in flight, which is what bounds both the
         pool's backlog and the parent's resident state.  A sized input
         of ``total`` cells is cut into about four chunks per worker, so
-        even a short list fans out across the pool.
+        even a short list fans out across the pool.  A cell whose key is
+        already buffered or in flight queues behind its first copy and
+        drains as a cache hit, as it would in a serial run.
         """
         tracer = current_tracer()
         collect_telemetry = telem is not None
@@ -451,10 +452,13 @@ class ExperimentEngine:
             chunk = self.STREAM_CHUNK
         window = window or max(2, self.workers * 2)
 
-        #: ("hit", cell, payload) | ("chunk", shard, [(cell, key)...], future)
+        #: ("hit", cell, payload) | ("repeat", cell, key)
+        #: | ("chunk", shard, [(cell, key)...], future)
         out: deque = deque()
         state = {"shard": 0, "in_flight": 0}
         buffer: List[Tuple[Cell, Optional[str]]] = []
+        #: cache keys of the misses buffered or in flight
+        pending: set = set()
 
         def flush(pool) -> None:
             nonlocal buffer
@@ -479,6 +483,17 @@ class ExperimentEngine:
                     telem.cell_finished(cell, ok=True, cached=True)
                 yield CellResult(cell, payload=payload, cached=True)
                 return
+            if entry[0] == "repeat":
+                # the first copy drained ahead of this entry and cached
+                # its payload, unless it failed: then compute it again
+                _kind, cell, key = entry
+                hit = self.cache.get(key)
+                if hit is not None:
+                    yield from drain(("hit", cell, hit["payload"]))
+                else:
+                    outcome = self._serial_outcome(cell, telem)
+                    yield self._finish_computed(cell, key, outcome, telem, emit=True)
+                return
             _kind, shard, batch, future = entry
             chunk_results, snapshot = future.result()
             state["in_flight"] -= 1
@@ -491,6 +506,7 @@ class ExperimentEngine:
             if telem is not None:
                 telem.shard_done(shard, len(chunk_results))
             for (cell, key), outcome in zip(batch, chunk_results):
+                pending.discard(key)
                 yield self._finish_computed(cell, key, outcome, telem, emit=False)
 
         def ready() -> bool:
@@ -503,7 +519,7 @@ class ExperimentEngine:
             if not out:
                 return False
             head = out[0]
-            if head[0] == "hit" or head[3].done():
+            if head[0] != "chunk" or head[3].done():
                 return True
             return state["in_flight"] >= window
 
@@ -516,14 +532,21 @@ class ExperimentEngine:
                 key = None
                 if self.cache is not None:
                     key = self.cache.key(cell.kind, cell.params)
-                    entry = self.cache.get(key)
+                    if key in pending:
+                        entry = ("repeat", cell, key)
+                    else:
+                        hit = self.cache.get(key)
+                        if hit is not None:
+                            entry = ("hit", cell, hit["payload"])
                 if entry is not None:
                     # a hit must not overtake buffered misses admitted
                     # before it: seal them into a (possibly short) chunk
                     # first so results stay in strict submission order
                     flush(pool)
-                    out.append(("hit", cell, entry["payload"]))
+                    out.append(entry)
                 else:
+                    if key is not None:
+                        pending.add(key)
                     buffer.append((cell, key))
                     if len(buffer) >= chunk:
                         flush(pool)

@@ -152,22 +152,7 @@ class Document:
 
     def __init__(self, sim):
         self.sim = sim
-        self.document_element = Element.__new__(Element)
-        # manual init to avoid begin_resource_load on the root
-        self.document_element.node_id = next(_node_ids)
-        self.document_element.trace_id = sim.next_object_seq("dom")
-        self.document_element.document = self
-        self.document_element.tag = "html"
-        self.document_element.attributes = {}
-        self.document_element.style = {}
-        self.document_element.children = []
-        self.document_element.parent = None
-        self.document_element.text = ""
-        self.document_element.onload = None
-        self.document_element.onerror = None
-        self.document_element.matched_visited = False
-        self.document_element.payload = None
-        self.document_element.pending_paint_cost = 0
+        self.document_element = Element(self, "html")
         self.body = self.create_element("body")
         self.document_element.children.append(self.body)
         self.body.parent = self.document_element

@@ -9,8 +9,8 @@ The deterministic tracer (:mod:`repro.trace`) observes virtual time
 * :mod:`repro.telemetry.spans` — wall-clock spans and the structured
   JSONL run log (``RUN_<cmd>.jsonl``);
 * :mod:`repro.telemetry.reporter` — the ``--live`` stderr progress line;
-* :mod:`repro.telemetry.export` — JSON and Prometheus-text exporters
-  for the final merged snapshot (``--telemetry-out``);
+* :mod:`repro.telemetry.export` — the JSON exporter for the final
+  merged snapshot (``--telemetry-out``);
 * :mod:`repro.telemetry.run` — the per-command session tying these
   together and the ambient :func:`current_run` the engine consults.
 """
@@ -27,7 +27,7 @@ from .spans import (
     span,
     worker_recorder,
 )
-from .export import prometheus_lines, render_prometheus, render_summary, write_telemetry
+from .export import render_summary, write_telemetry
 
 __all__ = [
     "DEFAULT_QUANTILES",
@@ -42,11 +42,10 @@ __all__ = [
     "format_duration",
     "format_ns",
     "point",
-    "prometheus_lines",
-    "render_prometheus",
     "render_summary",
     "set_recorder",
     "span",
     "telemetry_session",
     "worker_recorder",
+    "write_telemetry",
 ]

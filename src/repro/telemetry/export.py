@@ -1,150 +1,20 @@
 """Exporters for the final merged telemetry snapshot (``--telemetry-out``).
 
-Two formats from the same :meth:`~repro.telemetry.run.RunTelemetry.report`
-document:
-
-* **JSON** — the report itself, pretty-printed; the deterministic
-  sections (``engine``/``cache``/``metrics``) are byte-stable across
-  worker counts, the ``run`` section carries the wall clock.
-* **Prometheus text exposition** — counters, gauges, histograms (with
-  the cumulative ``le`` buckets ending in ``+Inf``) and summary-style
-  quantiles derived from the sketches, ready for a pushgateway or a
-  textfile collector.  Metric names are sanitised into the
-  ``repro_<name>`` namespace.
-
-``--telemetry-out report.json`` writes both: the JSON at the given path
-and the Prometheus text next to it (``report.prom``).
+The JSON report of :meth:`~repro.telemetry.run.RunTelemetry.report`,
+pretty-printed: the deterministic sections (``engine``/``cache``/
+``metrics``) are byte-stable across worker counts, the ``run`` section
+carries the wall clock.  :func:`render_summary` is the one-line closing
+summary printed to stderr.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import re
-from typing import List, Optional, Tuple
-
-from .sketch import DEFAULT_QUANTILES, QuantileSketch
 
 __all__ = [
-    "prometheus_lines",
-    "render_prometheus",
     "render_summary",
     "write_telemetry",
 ]
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _prom_name(name: str) -> str:
-    """``eventloop.queue_delay_ns.main`` → ``repro_eventloop_queue_delay_ns_main``."""
-    return "repro_" + _NAME_RE.sub("_", name)
-
-
-def _prom_value(value) -> str:
-    if value is None:
-        return "NaN"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "NaN"
-        return repr(value)
-    return str(value)
-
-
-def prometheus_lines(report: dict) -> List[str]:
-    """The Prometheus text-exposition lines for one telemetry report."""
-    lines: List[str] = []
-
-    def emit(name: str, kind: str, help_text: str, samples):
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        for suffix, labels, value in samples:
-            label_str = ""
-            if labels:
-                inner = ",".join(f'{key}="{val}"' for key, val in labels)
-                label_str = "{" + inner + "}"
-            lines.append(f"{name}{suffix}{label_str} {_prom_value(value)}")
-
-    engine = report.get("engine", {})
-    for key in sorted(engine):
-        emit(
-            f"repro_engine_{key}",
-            "counter",
-            f"Experiment engine {key} this run.",
-            [("", (), engine[key])],
-        )
-    cache = report.get("cache", {})
-    for key in sorted(cache):
-        emit(
-            f"repro_cache_{key}",
-            "counter",
-            f"Result cache {key} this run.",
-            [("", (), cache[key])],
-        )
-
-    metrics = report.get("metrics", {})
-    for name in sorted(metrics.get("counters", {})):
-        emit(
-            _prom_name(name),
-            "counter",
-            f"Merged counter {name}.",
-            [("", (), metrics["counters"][name])],
-        )
-    for name in sorted(metrics.get("gauges", {})):
-        emit(
-            _prom_name(name),
-            "gauge",
-            f"Merged gauge {name}.",
-            [("", (), metrics["gauges"][name])],
-        )
-    for name in sorted(metrics.get("histograms", {})):
-        snap = metrics["histograms"][name]
-        bounds = snap.get("bounds", ())
-        counts = snap.get("counts", ())
-        samples = []
-        cumulative = 0
-        for bound, count in zip(bounds, counts):
-            cumulative += count
-            samples.append(("_bucket", (("le", _prom_value(float(bound))),), cumulative))
-        cumulative += counts[len(bounds)] if len(counts) > len(bounds) else 0
-        samples.append(("_bucket", (("le", "+Inf"),), cumulative))
-        samples.append(("_count", (), snap.get("count", cumulative)))
-        samples.append(("_sum", (), snap.get("sum", 0)))
-        emit(
-            _prom_name(name),
-            "histogram",
-            f"Merged histogram {name} (upper edges inclusive).",
-            samples,
-        )
-    for name in sorted(metrics.get("sketches", {})):
-        sketch = QuantileSketch.from_dict(metrics["sketches"][name])
-        samples = [
-            ("", (("quantile", f"{q:g}"),), sketch.quantile(q))
-            for q in DEFAULT_QUANTILES
-        ]
-        samples.append(("_count", (), sketch.count))
-        samples.append(("_sum", (), sketch.total))
-        emit(
-            _prom_name(name) + "_sketch",
-            "summary",
-            f"Sketch-derived quantiles for {name} (accuracy {sketch.accuracy:g}).",
-            samples,
-        )
-
-    run = report.get("run", {})
-    if run.get("duration_s") is not None:
-        emit(
-            "repro_run_duration_seconds",
-            "gauge",
-            "Wall-clock duration of this run.",
-            [("", (), run["duration_s"])],
-        )
-    return lines
-
-
-def render_prometheus(report: dict) -> str:
-    return "\n".join(prometheus_lines(report)) + "\n"
 
 
 def render_summary(report: dict) -> str:
@@ -170,13 +40,9 @@ def render_summary(report: dict) -> str:
     return "telemetry: " + " ".join(parts)
 
 
-def write_telemetry(report: dict, json_path: str) -> Tuple[str, Optional[str]]:
-    """Write the JSON report and its Prometheus sibling; return both paths."""
+def write_telemetry(report: dict, json_path: str) -> str:
+    """Write the JSON report to ``json_path``; return the path."""
     with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
-    base, _ = os.path.splitext(json_path)
-    prom_path = base + ".prom"
-    with open(prom_path, "w", encoding="utf-8") as handle:
-        handle.write(render_prometheus(report))
-    return json_path, prom_path
+    return json_path

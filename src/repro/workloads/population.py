@@ -201,9 +201,9 @@ def config_for_rank(
 def page_for(rank: int, seed: int, size: int = DEFAULT_POPULATION) -> SiteDescription:
     """The population member at ``rank`` — regenerable anywhere.
 
-    Pure function of ``(rank, seed, size)``: a pool worker (or a serve
-    job on another machine) reconstructs the exact page from integers
-    instead of receiving the description over a socket.  The archetype
+    Pure function of ``(rank, seed, size)``: a pool worker reconstructs
+    the exact page from integers instead of receiving the description
+    from the parent process.  The archetype
     decides the weight class; the host name carries both for debugging.
     """
     archetype = archetype_for_rank(rank, seed, size)

@@ -1,0 +1,179 @@
+"""The CLI boundary: every command's flags are declared once, in argparse.
+
+Two properties:
+
+* bad input — a missing value, a bad type or name, a value out of
+  range, an unknown flag — exits 2 and prints the failing command's own
+  usage line on stderr, before any experiment runs;
+* every ``python -m repro ...`` invocation quoted in the docs parses
+  against the current declarations, so a doc naming a removed command
+  or flag fails here.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import COMMANDS, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ["README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
+
+#: command -> {case: argv after the command}; a case is left out where
+#: the command has no flag it could apply to.
+BAD_INPUT = {
+    "matrix": {
+        "missing value": ["--parallel"],
+        "bad type": ["--parallel", "two"],
+        "out of range": ["--parallel", "0"],
+        "unknown flag": ["--bogus"],
+    },
+    "table2": {
+        "missing value": ["--cache-dir"],
+        "bad type": ["--parallel", "2.5"],
+        "out of range": ["--parallel", "-1"],
+        "unknown flag": ["--bogus"],
+    },
+    "figure2": {
+        "missing value": ["--runlog"],
+        "bad type": ["--parallel", "x"],
+        "out of range": ["--parallel", "0"],
+        "unknown flag": ["--full"],
+    },
+    "dromaeo": {"unknown flag": ["--bogus"]},
+    "compat": {"unknown flag": ["--parallel", "2"]},
+    "attacks": {"unknown flag": ["--live"]},
+    "defenses": {"unknown flag": ["--json"]},
+    "trace": {
+        "missing value": ["attack", "cve-2018-5092", "--out"],
+        "missing name": ["attack"],
+        "bad name": ["attack", "cve-2018-5092", "--defense", "nope"],
+        "bad target": ["everything"],
+        "unknown flag": ["attack", "cve-2018-5092", "--bogus"],
+    },
+    "analyze": {
+        "missing value": ["races", "cve-2018-5092", "--seed"],
+        "bad type": ["races", "cve-2018-5092", "--seed", "one"],
+        "bad seeds": ["determinism", "cve-2018-5092", "--seeds", "0,x"],
+        "out of range": ["determinism", "cve-2018-5092", "--seeds", "0"],
+        "bad mode": ["frobnicate", "cve-2018-5092"],
+        "unknown flag": ["races", "cve-2018-5092", "--live"],
+    },
+    "fuzz": {
+        "missing value": ["--budget"],
+        "bad type": ["--budget", "nope"],
+        "out of range": ["--budget", "-5"],
+        "max-witnesses out of range": ["--max-witnesses", "-1"],
+        "max-events out of range": ["--max-events", "0"],
+        "bad strategy": ["--strategy", "random"],
+        "bad name": ["--vs", "nope"],
+        "unknown flag": ["--bogus"],
+    },
+    "cube": {
+        "missing value": ["--out"],
+        "missing seed": ["--seed"],
+        "bad type": ["--seed", "zero"],
+        "out of range": ["--parallel", "0"],
+        "bad name": ["--attacks", "clock-edge,bogus-attack"],
+        "unknown flag": ["--bogus"],
+    },
+    "population": {
+        "missing value": ["--size"],
+        "bad type": ["--size", "big"],
+        "out of range": ["--size", "0"],
+        "negative size": ["--size", "-3"],
+        "zero visits": ["--visits", "0"],
+        "zero sessions": ["--sessions", "0"],
+        "zero window": ["--window", "0"],
+        "bad mode": ["--mode", "exact"],
+        "unknown flag": ["--bogus"],
+    },
+}
+
+
+def test_the_table_covers_every_command():
+    assert set(BAD_INPUT) == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [
+        pytest.param(command, argv, id=f"{command}-{case}")
+        for command, cases in BAD_INPUT.items()
+        for case, argv in cases.items()
+    ],
+)
+def test_bad_input_exits_2_with_the_commands_own_usage(command, argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command] + argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: python -m repro {command} ")
+    assert f"python -m repro {command}: error: " in captured.err
+    assert captured.out == ""
+
+
+# ----------------------------------------------------------------------
+# doc drift
+# ----------------------------------------------------------------------
+INVOCATION = re.compile(r"python -m repro(?![\w.-])")
+
+
+def _argv(text):
+    """The arguments of one shell command line, up to a comment,
+    pipe, redirect or separator."""
+    lexer = shlex.shlex(text, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    argv = []
+    for token in lexer:
+        if set(token) <= set("|&;<>()"):
+            break
+        argv.append(token)
+    return argv
+
+
+def _invocations():
+    """Every ``python -m repro ...`` in the docs: ``(where, argv)``."""
+    found = []
+    for name in DOCS:
+        text = (ROOT / name).read_text(encoding="utf-8")
+        # fenced blocks: one command per logical (continued) line
+        fenced = text.split("```")[1::2]
+        for block in fenced:
+            for line in block.replace("\\\n", " ").splitlines():
+                match = INVOCATION.search(line)
+                if match:
+                    found.append((name, _argv(line[match.end():])))
+        # inline code spans, which may wrap across lines
+        prose = "".join(text.split("```")[0::2])
+        for span in re.findall(r"`([^`]*)`", prose):
+            match = INVOCATION.search(span)
+            if match:
+                found.append((name, _argv(span[match.end():].replace("\n", " "))))
+    return found
+
+
+def test_docs_quote_the_cli():
+    invocations = _invocations()
+    assert len(invocations) > 40
+    assert {name for name, _argv in invocations} == set(DOCS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(argv, id=f"{name}: {' '.join(argv)}")
+        for name, argv in _invocations()
+        if argv
+    ],
+)
+def test_every_documented_invocation_parses(argv):
+    _parser, commands = build_parser()
+    assert argv[0] in commands or argv[0] in ("-h", "--help"), argv
+    if argv[0] in commands:
+        try:
+            commands[argv[0]].parse_args(argv[1:])
+        except SystemExit as exc:  # --help exits 0; a usage error exits 2
+            assert exc.code == 0, argv

@@ -3,7 +3,7 @@
 Three properties the engine must hold for every worker count: a bad
 ``window`` is rejected up front, a sized cell list is cut into enough
 chunks to reach every worker, and a cell repeated within one run is
-computed once when a cache is attached.
+computed once when a cache is attached (twice only if it failed).
 """
 
 import json
@@ -43,10 +43,21 @@ def test_parallel_campaign_fans_out_and_matches_serial(campaign):
     assert json.dumps(sharded, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
-def test_repeated_cell_is_computed_once_then_served_from_cache(tmp_path):
+@pytest.mark.parametrize("workers", [None, 2])
+def test_repeated_cell_is_computed_once_then_served_from_cache(tmp_path, workers):
     cell = Cell("population", {"rank": 3, "seed": 0, "size": 10})
-    engine = ExperimentEngine(cache=ResultCache(tmp_path))
+    engine = ExperimentEngine(workers=workers, cache=ResultCache(tmp_path))
     first, second = engine.run([cell, cell])
     assert engine.computed == 1 and engine.cache_hits == 1
     assert not first.cached and second.cached
     assert second.payload == first.payload
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_a_repeated_failing_cell_is_computed_again(tmp_path, workers):
+    # failures are never cached, so the repeat cannot be served as a hit
+    cell = Cell("definitely-not-registered", {})
+    engine = ExperimentEngine(workers=workers, cache=ResultCache(tmp_path))
+    results = engine.run([cell, cell])
+    assert [result.ok for result in results] == [False, False]
+    assert engine.computed == 2 and engine.errors == 2 and engine.cache_hits == 0

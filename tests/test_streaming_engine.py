@@ -3,7 +3,7 @@
 The contract: ``stream`` yields exactly what ``run`` returns, in the
 same submission order and with the same merged telemetry, while never
 materialising more than a bounded in-flight window of the cell
-iterator — the property the population sweeps and serve mode rest on.
+iterator — the property the population sweeps and fuzz campaigns rest on.
 """
 
 import json

@@ -17,7 +17,6 @@ import io
 import json
 import math
 import os
-import re
 
 import pytest
 
@@ -32,8 +31,6 @@ from repro.telemetry import (
     SpanRecorder,
     current_recorder,
     current_run,
-    prometheus_lines,
-    render_prometheus,
     render_summary,
     set_recorder,
     span,
@@ -45,13 +42,6 @@ from repro.trace import metrics as metrics_mod
 
 MATRIX_ATTACKS = ["clock-edge", "svg-filtering"]
 MATRIX_DEFENSES = ["legacy-chrome", "jskernel"]
-
-#: One ``name{label="v",...} value`` Prometheus exposition sample.
-PROM_SAMPLE = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
-    r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9eE.+NaInf-]+$'
-)
-
 
 def read_records(path):
     with open(path, "r", encoding="utf-8") as handle:
@@ -77,9 +67,9 @@ def assert_runlog_balanced(path):
     return records
 
 
-def assert_telemetry_report(json_path, prom_path):
-    """A ``--telemetry-out`` report and its Prometheus sibling are
-    well-formed, and the engine accounting balances."""
+def assert_telemetry_report(json_path):
+    """A ``--telemetry-out`` report is well-formed, and the engine
+    accounting balances."""
     report = json.load(open(json_path))
     assert set(report) == {"version", "command", "engine", "cache", "metrics", "run"}
     engine = report["engine"]
@@ -90,13 +80,6 @@ def assert_telemetry_report(json_path, prom_path):
     for name, data in report["metrics"].get("sketches", {}).items():
         weights = sum(w for _i, w, _s in data["pos"]) + sum(w for _i, w, _s in data["neg"])
         assert data["count"] == data["zero"] + weights, name
-    samples = [
-        line for line in open(prom_path).read().splitlines()
-        if line and not line.startswith("#")
-    ]
-    assert samples
-    assert all(PROM_SAMPLE.match(line) for line in samples)
-    assert any(line.startswith("repro_engine_cells ") for line in samples)
     return report
 
 
@@ -507,7 +490,7 @@ def _small_report():
     return telem.report()
 
 
-def test_report_adds_the_wall_clock_section():
+def test_report_adds_the_wall_clock_section(tmp_path):
     report = _small_report()
     run = report["run"]
     assert run["duration_s"] > 0
@@ -515,49 +498,9 @@ def test_report_adds_the_wall_clock_section():
     assert run["shards"] == {"total": 0, "done": 0}  # serial: no shards
     assert set(run["queue_delay_quantiles"]) == {"p50", "p95", "p99"}
 
-
-def test_prometheus_export_grammar_and_content(tmp_path):
-    report = _small_report()
-    lines = prometheus_lines(report)
-    by_name = {}
-    for line in lines:
-        if line.startswith("#"):
-            continue
-        name = line.split("{")[0].split(" ")[0]
-        by_name.setdefault(name, []).append(line)
-
-    assert by_name["repro_engine_cells"] == ["repro_engine_cells 1"]
-    assert "repro_run_duration_seconds" in by_name
-    # histogram series: cumulative le buckets ending in +Inf, plus
-    # count and sum
-    histogram_buckets = [
-        line
-        for name, series in by_name.items()
-        if name.endswith("_bucket")
-        for line in series
-    ]
-    assert histogram_buckets
-    assert any('le="+Inf"' in line for line in histogram_buckets)
-    # sketch-derived summary series with quantile labels
-    sketch_series = [
-        line
-        for name, series in by_name.items()
-        if name.endswith("_sketch")
-        for line in series
-    ]
-    assert any('quantile="0.5"' in line for line in sketch_series)
-    assert any('quantile="0.99"' in line for line in sketch_series)
-    # a histogram's exported _sum carries the real accumulated value
-    metrics = report["metrics"]["histograms"]
-    name, snap = next(iter(metrics.items()))
-    prom = "repro_" + re.sub(r"[^a-zA-Z0-9_]", "_", name)
-    assert by_name[prom + "_sum"] == [f"{prom}_sum {snap['sum']}"]
-
-    json_path, prom_path = write_telemetry(report, str(tmp_path / "telemetry.json"))
-    assert prom_path == str(tmp_path / "telemetry.prom")
+    json_path = write_telemetry(report, str(tmp_path / "telemetry.json"))
     assert json.load(open(json_path))["engine"]["cells"] == 1
-    assert open(prom_path).read() == render_prometheus(report)
-    assert_telemetry_report(json_path, prom_path)
+    assert_telemetry_report(json_path)
 
 
 def test_render_summary_is_one_line():
@@ -596,7 +539,7 @@ def test_cli_cube_writes_runlog_and_telemetry(tmp_path, monkeypatch, capsys):
     assert "telemetry: cells=2 computed=2" in captured.err
     assert f"wrote {runlog}" in captured.err
     assert_runlog_balanced(runlog)
-    report = assert_telemetry_report(out, str(tmp_path / "telemetry.prom"))
+    report = assert_telemetry_report(out)
     assert report["engine"]["cells"] == report["engine"]["computed"] == 2
     # telemetry mode runs the cube with sketches, so the snapshot's
     # quantiles are populated
@@ -640,7 +583,7 @@ def test_cli_sharded_fuzz_writes_runlog_and_telemetry(tmp_path, monkeypatch, cap
     records = assert_runlog_balanced(runlog)
     # the pool workers appended their own records to the shared log
     assert len({record["pid"] for record in records}) > 1
-    report = assert_telemetry_report(out, str(tmp_path / "telemetry.prom"))
+    report = assert_telemetry_report(out)
     assert report["command"] == "fuzz"
     assert report["engine"]["cells"] == report["engine"]["computed"] == 2
     assert report["engine"]["errors"] == 0
