@@ -16,6 +16,7 @@ from .deterfox import DeterFox
 from .fuzzyfox import Fuzzyfox
 from .jskernel_defense import (
     JSKernelDefense,
+    JSKernelFuzzy,
     JSKernelNoCvePolicies,
     JSKernelNoDeterminism,
 )
@@ -34,6 +35,7 @@ register("jskernel", JSKernelDefense)
 # Ablations (not paper columns).
 register("jskernel-nodet", JSKernelNoDeterminism)
 register("jskernel-nocve", JSKernelNoCvePolicies)
+register("jskernel-fuzzy", JSKernelFuzzy)
 # The Deterministic Browser head-to-head backend (cube comparison).
 register("detbrowser", DetBrowser)
 
@@ -74,6 +76,7 @@ __all__ = [
     "Fuzzyfox",
     "InstallReceipt",
     "JSKernelDefense",
+    "JSKernelFuzzy",
     "JSKernelNoCvePolicies",
     "JSKernelNoDeterminism",
     "LegacyBrowser",

@@ -1,20 +1,26 @@
 """JSKernel wired into the defense registry.
 
 Thin adapter: the real implementation lives in :mod:`repro.kernel`.  The
-registry exposes three variants used by the benchmarks:
+registry exposes the full system and the three DESIGN.md §5 ablations:
 
 * ``jskernel`` — the full system (deterministic scheduling + all CVE
   policies), the Table I column;
 * ``jskernel-nodet`` — CVE policies only (ablation: timing attacks
   return);
 * ``jskernel-nocve`` — deterministic scheduling only (ablation: CVEs
-  return).
+  return);
+* ``jskernel-fuzzy`` — fuzzy-time scheduling plus the CVE policies
+  (ablation: the averaging adversary defeats fuzz, not determinism).
 """
 
 from __future__ import annotations
 
 from ..kernel.jskernel import JSKernel
-from ..kernel.policies import DeterministicSchedulingPolicy, all_cve_policies
+from ..kernel.policies import (
+    DeterministicSchedulingPolicy,
+    FuzzySchedulingPolicy,
+    all_cve_policies,
+)
 from .backend import DefenseBackend, SchedulerSlot, ScopeSlot
 
 
@@ -65,3 +71,12 @@ class JSKernelNoCvePolicies(JSKernelDefense):
 
     def __init__(self):
         super().__init__(JSKernel(policies=[DeterministicSchedulingPolicy()]))
+
+
+class JSKernelFuzzy(JSKernelDefense):
+    """Ablation: fuzzy-time scheduling instead of deterministic."""
+
+    name = "jskernel-fuzzy"
+
+    def __init__(self):
+        super().__init__(JSKernel(policies=[FuzzySchedulingPolicy()] + all_cve_policies()))

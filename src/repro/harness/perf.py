@@ -1,8 +1,10 @@
 """Performance harness: the §V-A experiments as callable functions.
 
 Each function regenerates one of the paper's performance artefacts and
-returns structured data; the ``benchmarks/`` files print them in the
-paper's shape.
+returns structured data; ``tests/test_harness.py`` asserts each one's
+paper shape and, run with ``-s``, prints it in the paper's layout.
+Reports carry results only: under an active tracer, metrics travel
+out-of-band in ``current_tracer().metrics``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.rng import hash_seed
-from ..trace import current_tracer
 from ..workloads.alexa import FIGURE3_CONFIGS, figure3_series
 from ..workloads.dromaeo import overhead_report
 from ..workloads.raptor import table3_rows
@@ -86,11 +87,7 @@ def table2_svg_loopscan(
 ) -> Dict[str, Dict[str, float]]:
     """defense -> measured values for the four Table II columns.
 
-    The returned mapping contains **only** defense rows.  (It previously
-    smuggled a top-level ``"metrics"`` key in under an active tracer,
-    forcing every consumer to skip a fake defense row; metrics now travel
-    out-of-band — snapshot ``current_tracer().metrics`` after the call,
-    which the parallel engine keeps populated even for sharded runs.)
+    The returned mapping contains **only** defense rows, traced or not.
     """
     cells = [
         Cell("table2", {"defense": defense, "runs": int(runs), "seed": seed})
@@ -127,12 +124,7 @@ def table3_raptor(runs: int = 25, seed: int = 0) -> Dict[str, Dict[str, Dict[str
 
 def dromaeo_overhead(seed: int = 0) -> Dict[str, object]:
     """The Dromaeo overhead report for JSKernel on Chrome."""
-    report = overhead_report(config="jskernel", baseline="legacy-chrome", seed=seed)
-    tracer = current_tracer()
-    if tracer.enabled:
-        report = dict(report)
-        report["metrics"] = tracer.metrics.snapshot()
-    return report
+    return overhead_report(config="jskernel", baseline="legacy-chrome", seed=seed)
 
 
 def worker_creation_overhead(seed: int = 0) -> Dict[str, float]:

@@ -4,9 +4,9 @@ an alternative scheduling algorithm).
 Instead of canonical grid slots, predicted times carry seeded random
 jitter.  This is strictly weaker than determinism — an attacker averaging
 over many trials recovers the signal — and exists (a) for fidelity to the
-paper's design space and (b) as the ablation baseline the benchmark
-``test_ablations.py`` uses to show *why* the deterministic policy is the
-one that works.
+paper's design space and (b) as the baseline of the ``jskernel-fuzzy``
+ablation, which shows *why* the deterministic policy is the one that
+works.
 """
 
 from __future__ import annotations

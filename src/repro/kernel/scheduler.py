@@ -161,8 +161,8 @@ class Scheduler:
         Pass-through scheduling: predict the event at its natural *real*
         time.  This is what a kernel without the deterministic policy
         does — it interposes but does not reorder, so timing attacks that
-        count events against completions still leak (the ablation the
-        benchmarks measure).
+        count events against completions still leak (the
+        ``jskernel-nodet`` ablation).
         """
         base = max(self.kspace.loop.sim.now, self.kspace.clock.now)
         return base + (hint if hint is not None else self.kspace.grid.min_lead_ns)

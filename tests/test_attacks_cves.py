@@ -1,8 +1,9 @@
 """Integration tests: every CVE row against the key defense columns.
 
-The full 8-defense sweep lives in the Table I benchmark; here each CVE is
-checked against the two decisive columns (vulnerable legacy vs JSKernel)
-plus targeted ablations showing WHICH policy does the work.
+The full 8-defense sweep is the Table I test in ``tests/test_harness.py``;
+here each CVE is checked against the two decisive columns (vulnerable
+legacy vs JSKernel) plus targeted ablations showing WHICH policy does
+the work.
 """
 
 import pytest

@@ -8,6 +8,11 @@ Two properties:
 * every ``python -m repro ...`` invocation quoted in the docs parses
   against the current declarations, so a doc naming a removed command
   or flag fails here.
+
+The same doc-drift guard covers the tests: every test DESIGN.md's
+experiment index names for a paper artefact exists, and no test file
+lives outside the one tier-1 root (``perfbench/`` has its own smoke
+tests).
 """
 
 import re
@@ -177,3 +182,27 @@ def test_every_documented_invocation_parses(argv):
             commands[argv[0]].parse_args(argv[1:])
         except SystemExit as exc:  # --help exits 0; a usage error exits 2
             assert exc.code == 0, argv
+
+
+def test_design_names_an_existing_test_for_every_paper_artefact():
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    index = text.split("## 4. Experiment index")[1].split("\n## ")[0]
+    rows = [line for line in index.splitlines() if line.startswith("| **")]
+    assert len(rows) >= 10
+    for row in rows:
+        node = row.rstrip(" |").rsplit("|", 1)[1].strip().strip("`")
+        path, _sep, name = node.partition("::")
+        assert path.startswith("tests/") and name.startswith("test_"), row
+        source = (ROOT / path).read_text(encoding="utf-8")
+        assert re.search(rf"^def {name}\(", source, re.MULTILINE), node
+
+
+def test_every_test_file_lives_under_one_root():
+    strays = []
+    for path in ROOT.rglob("test_*.py"):
+        parts = path.relative_to(ROOT).parts
+        if parts[0] not in ("tests", "perfbench") and not any(
+            part.startswith(".") for part in parts
+        ):
+            strays.append("/".join(parts))
+    assert strays == []

@@ -16,7 +16,7 @@ def test_registry_contains_all_table1_columns():
     names = available()
     for defense in TABLE1_DEFENSES:
         assert defense in names
-    assert "jskernel-nodet" in names and "jskernel-nocve" in names
+    assert {"jskernel-nodet", "jskernel-nocve", "jskernel-fuzzy"} <= set(names)
 
 
 def test_unknown_defense_raises():

@@ -19,8 +19,10 @@ from repro.harness import (
     run_table1,
     table2_svg_loopscan,
 )
-from repro.harness.perf import figure3_cdf
+from repro.harness.perf import dromaeo_overhead, figure3_cdf
 from repro.trace import Tracer, capture
+
+from .test_harness import scale
 
 # A small but heterogeneous Table I slice: one CVE row, one timing row.
 ATTACKS = ["cve-2018-5092", "css-animation"]
@@ -196,35 +198,32 @@ def test_agreement_on_fully_non_comparable_run_is_vacuously_clean():
     assert result.disagreements() == []
 
 
-def test_table2_no_longer_pollutes_the_table_with_a_metrics_row():
+def _traced(experiment):
+    """Run ``experiment`` under a tracer; its metrics must be non-empty."""
     tracer = Tracer()
     with capture(tracer):
-        table = table2_svg_loopscan(defenses=DEFENSES, runs=1)
-    assert set(table) == set(DEFENSES)  # defense rows only, even when traced
-    # the metrics still travel out-of-band via the ambient tracer
+        report = experiment()
     assert tracer.metrics.snapshot()["counters"]
+    return report
+
+
+def test_table2_no_longer_pollutes_the_table_with_a_metrics_row():
+    """A traced report equals the untraced one: no metrics row in Table
+    II, no metrics key in Dromaeo.  The metrics travel out-of-band via
+    the ambient tracer."""
+    table = _traced(lambda: table2_svg_loopscan(defenses=DEFENSES, runs=1))
+    assert set(table) == set(DEFENSES)
+    assert table == table2_svg_loopscan(defenses=DEFENSES, runs=1)
+    assert _traced(dromaeo_overhead) == dromaeo_overhead()
 
 
 def test_bench_scale_reads_env_lazily(monkeypatch):
-    import importlib.util
-    import pathlib
-
-    conftest_path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
-    spec = importlib.util.spec_from_file_location("bench_conftest", conftest_path)
-    module = importlib.util.module_from_spec(spec)
     monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-    spec.loader.exec_module(module)
-    assert module.scale("medium", "full") == "medium"
-    # flipping the env var AFTER import must take effect (it used to be
+    assert scale("medium", "full") == "medium"
+    # flipping the env var after import must take effect (it used to be
     # frozen into a module-level FULL constant at import time)
     monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-    assert module.scale("medium", "full") == "full"
-    monkeypatch.setenv("REPRO_BENCH_PARALLEL", "3")
-    monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", "/tmp/bench-cache")
-    assert module.engine_kwargs() == {"parallel": 3, "cache": "/tmp/bench-cache"}
-    monkeypatch.setenv("REPRO_BENCH_PARALLEL", "")
-    monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", "")
-    assert module.engine_kwargs() == {"parallel": None, "cache": None}
+    assert scale("medium", "full") == "full"
 
 
 def test_determinism_audit_engine_rejects_single_seed():

@@ -3,16 +3,19 @@
 Three properties carry the subsystem: every page is a pure function of
 ``(rank, seed)`` so workers regenerate instead of receiving; the model
 fast path (``site_stats`` + closed form) equals the full description
-path exactly; and a sweep's resident memory is bounded by the stream
-window + sketches, independent of population size — verified here with
-a 50k-vs-5k tracemalloc comparison, the PR's acceptance test.
+path exactly; and a sweep's resident state is bounded by the stream
+window + sketches, independent of population size — verified here by
+counting the cells pulled but not yet aggregated, and by comparing the
+aggregate's pickled size at a quarter of the sweep and at its end.
 """
 
-import tracemalloc
+import pickle
 
 import pytest
 
+from repro.harness.parallel import ExperimentEngine
 from repro.runtime.rng import hash_seed
+from repro.workloads import population
 from repro.workloads.population import (
     ARCHETYPES,
     DEFAULT_BROWSER_MIX,
@@ -193,24 +196,39 @@ def test_aggregate_caps_the_error_list():
 
 
 # ----------------------------------------------------------------------
-# acceptance: resident memory is flat in the population size
+# resident state is flat in the population size
 # ----------------------------------------------------------------------
-def _traced_peak(size):
-    tracemalloc.start()
-    try:
-        report = population_sweep(size, seed=0)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report["pages"] == size
-    return peak
+@pytest.mark.parametrize("parallel,window", [(None, None), (2, 2)], ids=["serial", "pool"])
+def test_sweep_resident_state_is_bounded_independent_of_population_size(
+    monkeypatch, parallel, window
+):
+    """The sweep holds at most the engine's window of cells, and its
+    aggregate's size does not scale with the page count."""
+    pages = 8_000
+    # a serial stream holds one cell; a pool at most ``window`` chunks
+    # in flight plus one chunk being filled
+    bound = (window + 1) * ExperimentEngine.STREAM_CHUNK if parallel else 1
+    pulled = 0
+    sizes = {}
+    population_cells = population.population_cells
 
+    def counted_cells(*args, **kwargs):
+        nonlocal pulled
+        for cell in population_cells(*args, **kwargs):
+            pulled += 1
+            yield cell
 
-def test_sweep_memory_is_bounded_independent_of_population_size():
-    population_sweep(500, seed=0)  # warm imports/caches outside the trace
-    small_peak = _traced_peak(5_000)
-    large_peak = _traced_peak(50_000)
-    # 10x the pages must not cost 10x the memory: the stream window and
-    # the sketches are the only resident state, so the peaks stay within
-    # a small constant factor of each other.
-    assert large_peak < small_peak * 3, (small_peak, large_peak)
+    class WatchedAggregate(PopulationAggregate):
+        def add(self, result):
+            super().add(result)
+            assert pulled - self.pages <= bound, (pulled, self.pages)
+            if self.pages in (pages // 4, pages):
+                sizes[self.pages] = len(pickle.dumps(vars(self)))
+
+    monkeypatch.setattr(population, "population_cells", counted_cells)
+    monkeypatch.setattr(population, "PopulationAggregate", WatchedAggregate)
+    report = population_sweep(pages, seed=0, parallel=parallel, window=window)
+    assert report["pages"] == pulled == pages
+    # 4x the pages must not cost 2x the state: the sketches' centroids
+    # are the only per-page residue, and they saturate
+    assert sizes[pages] < 2 * sizes[pages // 4], sizes
