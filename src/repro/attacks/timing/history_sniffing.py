@@ -60,11 +60,11 @@ class HistorySniffingAttack(TimingAttack):
                 timestamps.append(timestamp)
                 counts.append(flood.read())
                 if index == 1:
-                    for i in range(LINK_COUNT):
+                    body = document.body
+                    for _ in range(LINK_COUNT):
                         link = document.create_element("a")
                         link.attributes["href"] = TARGET_URL  # bulk, silent
-                        document.body.children.append(link)
-                        link.parent = document.body
+                        body._insert(link)
                     document.mark_dirty()
                 if index + 1 < FRAMES:
                     scope.requestAnimationFrame(frame)

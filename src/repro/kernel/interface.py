@@ -17,8 +17,9 @@ clocks, SharedArrayBuffer counters — is wrapped here.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..runtime.dom import Element
 from ..runtime.messaging import MessageEvent
 from ..runtime.promises import SimPromise
 from ..runtime.sharedmem import AccessPolicy as SharedMemAccessPolicy
@@ -38,8 +39,8 @@ class KernelInterface:
         self._timers: Dict[int, Dict[str, Any]] = {}
         self._raf_ids = 0
         self._rafs: Dict[int, Any] = {}
-        self._element_events: Dict[int, Any] = {}
-        self._animations: Dict[tuple, Dict[str, Any]] = {}
+        self._element_events: Dict[Element, Any] = {}
+        self._animations: Dict[Tuple[Element, str], Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # clocks
@@ -227,10 +228,10 @@ class KernelInterface:
                 },
                 label=f"load:{element.tag}",
             )
-            self._element_events[element.node_id] = event
+            self._element_events[element] = event
 
         def route(element, name: str, _handler) -> None:
-            event = self._element_events.pop(element.node_id, None)
+            event = self._element_events.pop(element, None)
             if event is None:
                 # load started before the kernel was installed; fall back
                 # to a register+confirm at delivery
@@ -300,7 +301,7 @@ class KernelInterface:
         def k_animate(element, prop="left", from_value=0.0, to_value=1000.0, duration_ms=10_000.0):
             kspace.api_call("animate", {})
             native_animation = natives["animate"](element, prop, from_value, to_value, duration_ms)
-            self._animations[(element.node_id, prop)] = {
+            self._animations[(element, prop)] = {
                 "start_kernel_ns": kspace.clock.now,
                 "from": from_value,
                 "to": to_value,
@@ -315,7 +316,7 @@ class KernelInterface:
             # style value from kernel time: the per-call cost behind the
             # paper's worst Dromaeo case (DOM attributes, ~21%)
             kspace.loop.sim.consume(250)
-            record = self._animations.get((element.node_id, prop))
+            record = self._animations.get((element, prop))
             if record is None:
                 return natives["getComputedStyle"](element, prop)
             elapsed_ms = to_ms(kspace.clock.now - record["start_kernel_ns"])

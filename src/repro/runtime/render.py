@@ -165,19 +165,23 @@ class Renderer:
             self._ensure_scheduled()
 
     def _frame_cost(self) -> int:
-        cost = self.costs.base_paint
-        node_count = self.document.node_count()
-        if self.document.dirty:
-            cost += node_count * (self.costs.style_per_node + self.costs.layout_per_node)
-            # visited-link style resolution (history sniffing channel)
-            for element in self.document.document_element.descendants():
-                if element.tag == "a" and "href" in element.attributes:
-                    if self.visited_fn(element.attributes["href"]):
-                        element.matched_visited = True
-                        cost += self.costs.visited_style_extra
-        # pending paint effects (SVG filters, expensive canvases, ...)
-        for element in self.document.document_element.descendants():
-            if element.pending_paint_cost:
-                cost += element.pending_paint_cost
-                element.pending_paint_cost = 0
+        # reads only the document's maintained indexes: no tree walk
+        document = self.document
+        costs = self.costs
+        cost = costs.base_paint
+        if document.dirty:
+            cost += document.connected_count * (costs.style_per_node + costs.layout_per_node)
+            # visited-link style resolution (history sniffing channel); href
+            # is read now, so raw attribute writes count too
+            visited_fn = self.visited_fn
+            for anchor in document.anchors:
+                href = anchor.attributes.get("href")
+                if href is not None and visited_fn(href):
+                    anchor.matched_visited = True
+                    cost += costs.visited_style_extra
+        # pending paint effects (SVG filters, expensive canvases, ...);
+        # detached elements keep theirs until they are attached
+        for element in [el for el in document.paint_pending if el._connected]:
+            cost += element.pending_paint_cost
+            element.pending_paint_cost = 0
         return cost

@@ -1,10 +1,22 @@
-"""Unit tests for the DOM substrate."""
+"""Unit tests for the DOM substrate and the indexes it maintains."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+)
 
 from repro.errors import SimulationError
 from repro.runtime.dom import Document
-from repro.runtime.simulator import Simulator
+from repro.runtime.eventloop import EventLoop
+from repro.runtime.render import Renderer
+from repro.runtime.simulator import ExecutionFrame, Simulator
+from repro.trace import capture
 
 
 @pytest.fixture
@@ -101,10 +113,219 @@ def test_get_elements_by_tag(doc):
 
 def test_dom_operations_consume_time(doc):
     sim = doc.sim
-    from repro.runtime.simulator import ExecutionFrame
-
     frame = ExecutionFrame(0, "t")
     sim.push_frame(frame)
     doc.create_element("div")
     assert frame.elapsed > 0
     sim.pop_frame()
+
+
+def _traced_document():
+    """A document whose simulator records state accesses, inside a task frame."""
+    with capture() as tracer:
+        sim = Simulator()
+    doc = Document(sim)
+    frame = ExecutionFrame(0, "t")
+    sim.push_frame(frame)
+    return doc, frame, tracer
+
+
+def test_append_child_rejects_the_root_the_parent_and_its_ancestors():
+    doc, frame, tracer = _traced_document()
+    div = doc.body.append_child(doc.create_element("div"))
+    span = div.append_child(doc.create_element("span"))
+    detached = doc.create_element("p")
+    doc.dirty = False
+    elapsed, events, shape = frame.elapsed, len(tracer), doc.serialize()
+    assert events == 2  # the two appends above were traced
+    for parent, child in (
+        (div, div),
+        (div, doc.body),
+        (span, div),
+        (span, doc.document_element),
+        (detached, doc.document_element),
+    ):
+        with pytest.raises(SimulationError):
+            parent.append_child(child)
+    # HierarchyRequestError is raised before any cost, trace or mutation
+    assert (frame.elapsed, len(tracer), doc.dirty) == (elapsed, events, False)
+    assert doc.serialize() == shape
+    assert doc.body.connected and doc.node_count() == 4
+    assert detached.children == [] and doc.document_element.parent is None
+
+
+def test_silent_insert_keeps_the_indexes_without_cost_trace_or_dirt():
+    doc, frame, tracer = _traced_document()
+    link = doc.create_element("a")
+    doc.dirty = False
+    elapsed, events = frame.elapsed, len(tracer)
+    doc.body._insert(link)
+    assert (frame.elapsed, len(tracer), doc.dirty) == (elapsed, events, False)
+    assert link.parent is doc.body and link.connected
+    assert doc.node_count() == 3 and list(doc.anchors) == [link]
+
+
+def test_deep_trees_are_walked_without_recursion(doc):
+    depth = 5_000
+    node = doc.body
+    for _ in range(depth):
+        node = node.append_child(doc.create_element("div"))
+    assert doc.node_count() == depth + 2
+    assert len(doc.get_elements_by_tag("div")) == depth
+    assert sum(1 for _ in doc.document_element.descendants()) == depth + 1
+    assert doc.serialize() == (
+        "<html><body>" + "<div>" * depth + "</div>" * depth + "</body></html>"
+    )
+    with pytest.raises(SimulationError):
+        node.append_child(doc.body)
+    top = doc.body.remove_child(doc.body.children[0])
+    assert not node.connected and doc.node_count() == 2
+    doc.body.append_child(top)
+    assert node.connected and doc.node_count() == depth + 2
+
+
+# ----------------------------------------------------------------------
+# differential proof: maintained indexes == a full-walk recomputation
+# ----------------------------------------------------------------------
+VISITED = "https://visited.example/"
+
+
+def _walk(root):
+    """``root`` and its subtree in document order (test-local, recursive)."""
+    yield root
+    for child in root.children:
+        yield from _walk(child)
+
+
+def _reaches_root(element):
+    """``connected`` by definition: the parent chain ends at the root."""
+    while element.parent is not None:
+        element = element.parent
+    return element is element.document.document_element
+
+
+def _hierarchy_error(parent, child):
+    return child is child.document.document_element or any(
+        node is parent for node in _walk(child)
+    )
+
+
+def _reference_serialize(element):
+    """The recursive serialisation the iterative one must reproduce."""
+    attrs = "".join(f' {n}="{v}"' for n, v in sorted(element.attributes.items()))
+    inner = element.text + "".join(_reference_serialize(c) for c in element.children)
+    return f"<{element.tag}{attrs}>{inner}</{element.tag}>"
+
+
+def _reference_frame_cost(renderer):
+    """The three-walk formula ``_frame_cost`` used before the indexes.
+
+    Pure (mutates nothing).  One deliberate difference: the root's own
+    pending paint counts, where the old walk started below the root.
+    """
+    document, costs = renderer.document, renderer.costs
+    nodes = list(_walk(document.document_element))
+    cost = costs.base_paint
+    if document.dirty:
+        cost += len(nodes) * (costs.style_per_node + costs.layout_per_node)
+        for element in nodes:
+            if element.tag == "a" and "href" in element.attributes:
+                if renderer.visited_fn(element.attributes["href"]):
+                    cost += costs.visited_style_extra
+    return cost + sum(element.pending_paint_cost for element in nodes)
+
+
+class DomIndexMachine(RuleBasedStateMachine):
+    """Random tree mutations, checking every index after each step."""
+
+    elements = Bundle("elements")
+
+    @initialize(target=elements)
+    def open_document(self):
+        sim = Simulator()
+        self.doc = Document(sim)
+        loop = EventLoop(sim, "dom-indexes", task_dispatch_cost=0)
+        self.renderer = Renderer(loop, self.doc, visited_fn=lambda href: href == VISITED)
+        self.all = [self.doc.document_element, self.doc.body]
+        return multiple(*self.all)
+
+    @rule(target=elements, tag=st.sampled_from(["a", "a", "div", "span"]))
+    def create(self, tag):
+        element = self.doc.create_element(tag)
+        self.all.append(element)
+        return element
+
+    @rule(parent=elements, child=elements)
+    def append_child(self, parent, child):
+        if _hierarchy_error(parent, child):
+            old_parent = child.parent
+            with pytest.raises(SimulationError):
+                parent.append_child(child)
+            assert child.parent is old_parent
+        else:
+            parent.append_child(child)
+            assert child.parent is parent and parent.children[-1] is child
+
+    @rule(parent=elements, child=elements)
+    def silent_insert(self, parent, child):
+        if not _hierarchy_error(parent, child):
+            parent._insert(child)
+
+    @rule(parent=elements, child=elements)
+    def remove_child(self, parent, child):
+        if child.parent is parent:
+            parent.remove_child(child)
+            assert child.parent is None and child not in parent.children
+        else:
+            with pytest.raises(SimulationError):
+                parent.remove_child(child)
+
+    @rule(element=elements, href=st.sampled_from([VISITED, "https://other.example/"]),
+          raw=st.booleans())
+    def write_href(self, element, href, raw):
+        if raw:
+            element.attributes["href"] = href
+        else:
+            element.set_attribute("href", href)
+
+    @rule(element=elements)
+    def drop_href(self, element):
+        element.attributes.pop("href", None)
+
+    @rule(element=elements, cost=st.integers(0, 3), add=st.booleans())
+    def write_paint(self, element, cost, add):
+        if add:
+            element.pending_paint_cost += cost * 1_000
+        else:
+            element.pending_paint_cost = cost * 1_000
+
+    @rule(dirty=st.booleans())
+    def frame(self, dirty):
+        self.doc.dirty = dirty
+        expected = _reference_frame_cost(self.renderer)
+        before = {element: element.pending_paint_cost for element in self.all}
+        assert self.renderer._frame_cost() == expected
+        for element in self.all:
+            connected = _reaches_root(element)
+            assert element.pending_paint_cost == (0 if connected else before[element])
+            if dirty and connected and element.tag == "a":
+                if element.attributes.get("href") == VISITED:
+                    assert element.matched_visited
+
+    @invariant()
+    def indexes_equal_a_full_walk(self):
+        doc = self.doc
+        tree = list(_walk(doc.document_element))
+        assert doc.connected_count == doc.node_count() == len(tree)
+        assert set(doc.anchors) == {element for element in tree if element.tag == "a"}
+        assert set(doc.paint_pending) == {el for el in self.all if el.pending_paint_cost}
+        for element in self.all:
+            assert element.connected == _reaches_root(element)
+            assert list(element.descendants()) == list(_walk(element))[1:]
+            assert element.serialize() == _reference_serialize(element)
+
+
+DomIndexMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
+TestDomIndexes = DomIndexMachine.TestCase

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.dom import Document
+from repro.runtime.dom import Document, Element
 from repro.runtime.eventloop import EventLoop
 from repro.runtime.render import Renderer
 from repro.runtime.simtime import FRAME_INTERVAL, ms
@@ -121,3 +121,39 @@ def test_animation_driver_keeps_frames_coming(setup):
     renderer.pump()
     sim.run(until=ms(200))
     assert renderer.frames_rendered >= 2
+
+
+def _ten_thousand_node_page():
+    """A 10k-element page: a 10-ary tree of links and divs, one pending paint."""
+    sim = Simulator()
+    loop = EventLoop(sim, "walk-free", task_dispatch_cost=0)
+    doc = Document(sim)
+    renderer = Renderer(loop, doc, visited_fn=lambda href: True)
+    nodes = [doc.body]
+    for index in range(10_000 - doc.node_count()):
+        element = doc.create_element("a" if index % 3 else "div")
+        element.attributes["href"] = "https://visited.example/"
+        nodes[index // 10].append_child(element)
+        nodes.append(element)
+    assert doc.node_count() == 10_000
+    element.pending_paint_cost = ms(1)
+    return sim, doc, renderer, element
+
+
+@pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+def test_frames_never_walk_the_tree(monkeypatch, dirty):
+    sim, doc, renderer, painted = _ten_thousand_node_page()
+    doc.dirty = dirty
+
+    def no_walk(_self):
+        raise AssertionError("a render frame walked the DOM tree")
+
+    monkeypatch.setattr(Element, "descendants", no_walk)
+    if dirty:
+        renderer.pump()
+    else:
+        renderer.request_animation_frame(lambda _ts: None)
+    sim.run(until=ms(500))
+    assert renderer.frames_rendered == 1
+    assert painted.pending_paint_cost == 0
+    assert {link.matched_visited for link in doc.anchors} == {dirty}
