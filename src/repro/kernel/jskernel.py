@@ -86,17 +86,13 @@ class JSKernel:
         self,
         policies: Optional[List[Policy]] = None,
         grid: Optional[SchedulingGrid] = None,
-        include_cve_policies: bool = True,
     ):
         if policies is None:
-            policies = [DeterministicSchedulingPolicy()]
-            if include_cve_policies:
-                policies.extend(all_cve_policies())
-        self.policy = CompositePolicy(policies) if len(policies) > 1 else policies[0]
-        if isinstance(self.policy, CompositePolicy):
-            pass
+            policies = [DeterministicSchedulingPolicy()] + all_cve_policies()
+        if len(policies) == 1 and isinstance(policies[0], CompositePolicy):
+            self.policy = policies[0]
         else:
-            self.policy = CompositePolicy([self.policy])
+            self.policy = CompositePolicy(policies)
         self.grid = grid or SchedulingGrid()
         self.instances: List[JSKernelInstance] = []
 

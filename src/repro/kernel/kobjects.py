@@ -10,13 +10,16 @@ completing).  Its lifecycle follows the paper's two-stage scheduling:
     with CANCELLED reachable from PENDING/READY.
 
 The :class:`KernelEventQueue` orders events by predicted time and supports
-the paper's queue API: ``push``, ``pop``, ``top``, ``remove``, ``lookup``.
+the paper's queue API: ``push``, ``pop``, ``top``, ``remove``.  Its heap
+holds ``(predicted_time, seq, event)`` entries like every ready queue in
+the runtime: ``seq`` is the queue's own push counter, which is also the
+event's id, so ids are per-queue and equal predicted times dispatch in
+registration order.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import KernelError
@@ -26,8 +29,6 @@ PENDING = "pending"
 READY = "ready"
 CANCELLED = "cancelled"
 DISPATCHED = "dispatched"
-
-_event_ids = itertools.count(1)
 
 
 class KernelEvent:
@@ -58,7 +59,8 @@ class KernelEvent:
         callbacks: Optional[Dict[str, Callable]] = None,
         label: str = "",
     ):
-        self.id = next(_event_ids)
+        #: Assigned by :meth:`KernelEventQueue.push` from the queue's counter.
+        self.id = 0
         self.kind = kind
         self.predicted_time = predicted_time
         self.status = PENDING
@@ -137,6 +139,8 @@ class KernelEventQueue:
     def __init__(self):
         self._heap: List[Tuple[int, int, KernelEvent]] = []
         self._by_id: Dict[int, KernelEvent] = {}
+        #: Push counter: event ids and the tie-break among equal times.
+        self._seq = 0
         self._sim = None
         self._trace_row = ""
         self._last_depth = -1
@@ -172,7 +176,9 @@ class KernelEventQueue:
         sim.tracer.metrics.gauge(f"kernel.queue.depth.{self._trace_row}").set(depth)
 
     def push(self, event: KernelEvent) -> KernelEvent:
-        """Insert an event at its predicted time."""
+        """Insert an event at its predicted time and assign its id."""
+        self._seq += 1
+        event.id = self._seq
         heapq.heappush(self._heap, (event.predicted_time, event.id, event))
         self._by_id[event.id] = event
         status = event.status
@@ -208,10 +214,6 @@ class KernelEventQueue:
         event.status = DISPATCHED if event.status == DISPATCHED else CANCELLED
         self._by_id.pop(event.id, None)
         self._depth_changed()
-
-    def lookup(self, event_id: int) -> Optional[KernelEvent]:
-        """Find an event by id."""
-        return self._by_id.get(event_id)
 
     def top_ready(self) -> Optional[KernelEvent]:
         """Earliest READY event, skipping pending heads.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..errors import KernelError
 from ..trace import LATENCY_BUCKETS_NS
 from .kobjects import CANCELLED, DISPATCHED, PENDING, READY, KernelEvent, KernelEventQueue
 
@@ -299,10 +298,3 @@ class Scheduler:
                 f"kernel.cancelled.{case}"
             )
         counter.inc()
-
-    def lookup(self, event_id: int) -> Optional[KernelEvent]:
-        """Find an event by id (policy handlers use this)."""
-        event = self.queue.lookup(event_id)
-        if event is None:
-            raise KernelError(f"no kernel event #{event_id}")
-        return event

@@ -17,7 +17,6 @@ the worker-lifecycle CVEs (2018-5092, 2014-1488, 2014-3194, 2013-5602,
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, List, Optional
 
 from ..runtime.interpose import Interposable
@@ -28,9 +27,6 @@ from . import comm
 from .interface import KernelInterface
 from .space import KernelSpace
 
-#: Fallback id stream for managers predating per-manager numbering.
-_kthread_ids = itertools.count(1)
-
 #: Sanitised message used when policies strip error details.
 SANITIZED_ERROR = "Script error."
 
@@ -40,9 +36,9 @@ class KernelThread:
 
     def __init__(self, manager: "ThreadManager", src):
         self.manager = manager
-        # per-manager numbering keeps kthread labels (and traces)
-        # deterministic across repeated runs in one process
-        self.id = next(getattr(manager, "kthread_seq", _kthread_ids))
+        # per-run numbering keeps kthread labels (and traces)
+        # independent of what ran earlier in the process
+        self.id = manager.kspace.loop.sim.next_object_seq("kthread")
         self.src = src
         #: "started" -> "ready" (user thread loaded) -> "closed"
         self.status = "started"
@@ -103,8 +99,6 @@ class ThreadManager:
         self.page = page
         self.kspace = kernel_instance.kspace
         self.threads: List[KernelThread] = []
-        #: Id stream for this manager's kernel threads.
-        self.kthread_seq = itertools.count(1)
 
     # ------------------------------------------------------------------
     # construction (user calls new Worker(...))

@@ -9,7 +9,6 @@ extension that runs at ``document_start``.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Set
 
@@ -81,8 +80,6 @@ class Browser:
         self.history: Set[str] = set()
         self.pages: List[Page] = []
         self.workers: List[WorkerAgent] = []
-        #: Id stream for this browser's workers (see WorkerAgent.__init__).
-        self.worker_seq = itertools.count(1)
         #: Called with each new Page (defenses interpose here).
         self.page_hooks: List[Callable[[Page], None]] = []
         #: Called with each new WorkerAgent before its script runs.

@@ -10,8 +10,7 @@ the natural place.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict
+from typing import List
 
 from ..errors import SimulationError
 from .clock import PerformanceClock
@@ -24,8 +23,6 @@ COMPUTED_STYLE_COST = 2_500
 class CSSAnimation:
     """One running animation on an element."""
 
-    _ids = itertools.count(1)
-
     def __init__(
         self,
         element: Element,
@@ -35,7 +32,6 @@ class CSSAnimation:
         duration_ms: float,
         start_ms: float,
     ):
-        self.id = next(self._ids)
         self.element = element
         self.prop = prop
         self.from_value = from_value
@@ -67,7 +63,7 @@ class AnimationTimeline:
 
     def __init__(self, clock: PerformanceClock):
         self.clock = clock
-        self._animations: Dict[int, CSSAnimation] = {}
+        self._animations: List[CSSAnimation] = []
 
     def animate(
         self,
@@ -80,21 +76,20 @@ class AnimationTimeline:
         """Start a linear animation (``element.style.animation = ...``)."""
         start_ms = self.clock.now()
         animation = CSSAnimation(element, prop, from_value, to_value, duration_ms, start_ms)
-        self._animations[animation.id] = animation
+        self._animations.append(animation)
         element.document.mark_dirty()
         return animation
 
     def cancel(self, animation: CSSAnimation) -> None:
-        """Stop an animation."""
+        """Stop an animation (:meth:`any_running` drops it from the list)."""
         animation.cancelled = True
-        self._animations.pop(animation.id, None)
 
     def get_computed_style(self, element: Element, prop: str) -> float:
         """``getComputedStyle(el)[prop]`` — samples the animation clock."""
         clock = self.clock
         clock.sim.consume(COMPUTED_STYLE_COST)
         now_ms = clock.now()
-        for animation in self._animations.values():
+        for animation in self._animations:
             if animation.element is element and animation.prop == prop and not animation.cancelled:
                 return animation.value_at(now_ms)
         value = element.style.get(prop)
@@ -108,6 +103,6 @@ class AnimationTimeline:
     def any_running(self) -> bool:
         """Renderer driver hook: keep producing frames while animating."""
         now_ms = self.clock.now()
-        running = {aid: a for aid, a in self._animations.items() if not a.finished(now_ms)}
+        running = [a for a in self._animations if not a.finished(now_ms)]
         self._animations = running
         return bool(running)

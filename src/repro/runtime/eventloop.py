@@ -20,8 +20,11 @@ behaviour implicit clocks measure.
 Ready queue
 -----------
 
-The macrotask queue is one heap of ``(ready_time, id, task)`` entries.
-The loop keeps at most one simulator wakeup armed, at the time its head
+The macrotask queue is one heap of ``(ready_time, seq, task)`` entries,
+where ``seq`` is the loop's own push counter: equal-ready tasks run in
+post order, and no id outlives the loop.  The simulator's heap and the
+kernel event queue follow the same ``(time, seq, item)`` design.  The
+loop keeps at most one simulator wakeup armed, at the time its head
 task becomes runnable; each wake runs one task and re-arms.  The dispatch
 path builds no strings when the tracer is disabled and reuses cached
 metric handles when it is enabled (see DESIGN.md §12).
@@ -36,7 +39,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 from ..errors import SimulationError
 from ..trace import QUEUE_DELAY_BUCKETS_NS
 from .simulator import ExecutionFrame, ScheduledCall, Simulator
-from .task import Microtask, Task, TaskRecord, TaskSource
+from .task import Microtask, Task, TaskSource
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -49,12 +52,13 @@ class EventLoop:
         sim: Simulator,
         name: str,
         task_dispatch_cost: int = 2_000,
-        record_trace: bool = False,
     ):
         self.sim = sim
         self.name = name
         self.task_dispatch_cost = task_dispatch_cost
         self._queue: List[Tuple[int, int, Task]] = []
+        #: Push counter: the FIFO tie-break among equal ready times.
+        self._seq = 0
         # deque: the checkpoint pops from the left, and list.pop(0) is
         # O(n) — quadratic over a promise-heavy task's microtask chain
         self._microtasks: Deque[Microtask] = deque()
@@ -63,8 +67,6 @@ class EventLoop:
         self._wakeup: Optional[ScheduledCall] = None
         self._in_task = False
         self.tasks_run = 0
-        self.record_trace = record_trace
-        self.trace: List[TaskRecord] = []
         #: Observers called as fn(task, start, end) after each dispatch.
         self.task_observers: List[Callable[[Task, int, int], None]] = []
         # the wakeup label is per-loop constant: building it per _arm()
@@ -97,7 +99,8 @@ class EventLoop:
         ready = task.ready_time
         if ready < self.sim.dispatch_time:
             ready = task.ready_time = self.sim.dispatch_time
-        _heappush(self._queue, (ready, task.id, task))
+        self._seq += 1
+        _heappush(self._queue, (ready, self._seq, task))
         self._arm()
         return task
 
@@ -154,7 +157,7 @@ class EventLoop:
     @property
     def pending_tasks(self) -> int:
         """Number of queued, non-cancelled macrotasks."""
-        return sum(1 for _r, _i, t in self._queue if not t.cancelled)
+        return sum(1 for _r, _s, t in self._queue if not t.cancelled)
 
     @property
     def idle(self) -> bool:
@@ -238,8 +241,6 @@ class EventLoop:
         if end > self.busy_until:
             self.busy_until = end
         self.tasks_run += 1
-        if self.record_trace:
-            self.trace.append(TaskRecord(task.id, task.label, task.source, start, end))
         tracer = sim.tracer
         if tracer.enabled:
             queue_delay = start - task.ready_time

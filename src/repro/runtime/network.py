@@ -12,7 +12,6 @@ completion as a NETWORK task on the requesting event loop.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, Dict, List, Optional
 
@@ -73,10 +72,7 @@ class NetworkResponse:
 class NetworkRequest:
     """In-flight request handle (cancellable)."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, url: URL, task):
-        self.id = next(self._ids)
         self.url = url
         self._task = task
         self.cancelled = False

@@ -191,9 +191,9 @@ class Simulator:
         self._live = 0
         self._frames: List[ExecutionFrame] = []
         self.events_processed = 0
-        # per-run deterministic id streams for traced objects (DOM nodes,
-        # shared buffers...) — process-global counters would break the
-        # byte-identical-capture guarantee
+        # per-run deterministic id streams for objects (DOM nodes,
+        # shared buffers, workers, kthreads...) — process-global counters
+        # would break the byte-identical-capture guarantee
         self._object_seqs: dict = {}
         # label/ordinal of the scheduled call currently dispatching, for
         # attributing frameless (native) work in traces

@@ -11,8 +11,7 @@ about queue composition.
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 
 class TaskSource(enum.Enum):
@@ -31,9 +30,6 @@ class TaskSource(enum.Enum):
     KERNEL = "kernel"  # JSKernel dispatcher bookkeeping
 
 
-_task_ids = itertools.count(1)
-
-
 class Task:
     """One macrotask: callback, arguments, ordering and cost metadata.
 
@@ -49,7 +45,6 @@ class Task:
     """
 
     __slots__ = (
-        "id",
         "callback",
         "args",
         "source",
@@ -70,7 +65,6 @@ class Task:
         label: str = "",
         enqueue_time: int = 0,
     ):
-        self.id = next(_task_ids)
         self.callback = callback
         self.args = args
         self.source = source
@@ -85,10 +79,7 @@ class Task:
         self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Task #{self.id} {self.label!r} src={self.source.value} "
-            f"ready={self.ready_time}>"
-        )
+        return f"<Task {self.label!r} src={self.source.value} ready={self.ready_time}>"
 
 
 class Microtask:
@@ -107,33 +98,3 @@ class Microtask:
         self.args = args
         self.cost = cost
         self.label = label or getattr(callback, "__name__", "microtask")
-
-
-class TaskRecord:
-    """Trace record of one dispatched task (used by loopscan & tests)."""
-
-    __slots__ = ("task_id", "label", "source", "start", "end")
-
-    def __init__(self, task_id: int, label: str, source: TaskSource, start: int, end: int):
-        self.task_id = task_id
-        self.label = label
-        self.source = source
-        self.start = start
-        self.end = end
-
-    @property
-    def duration(self) -> int:
-        """Virtual-time duration the task occupied its thread."""
-        return self.end - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TaskRecord {self.label!r} [{self.start},{self.end}]>"
-
-
-def make_ready_key(task: Task) -> Tuple[int, int]:
-    """Queue ordering key: FIFO within equal ready times."""
-    return (task.ready_time, task.id)
-
-
-#: Sentinel returned by cancelled lookups.
-NO_TASK: Optional[Task] = None

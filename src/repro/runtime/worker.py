@@ -13,7 +13,6 @@ modules for the exact scenarios.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, List, Optional
 
 from ..errors import SecurityError, SimulationError
@@ -33,9 +32,6 @@ from .xhr import XMLHttpRequest
 WORKER_CONSTRUCT_COST = 60_000
 #: Cost of an importScripts call (excluding network time).
 IMPORT_SCRIPTS_COST = 20_000
-
-#: Fallback id stream for hosts predating per-browser numbering.
-_worker_ids = itertools.count(1)
 
 #: Sanitised error text for cross-origin failures (per HTML spec).
 SANITIZED_ERROR = "Script error."
@@ -104,9 +100,9 @@ class WorkerAgent:
     def __init__(self, host, parent_loop: EventLoop, parent_base_url: URL, src):
         """``host`` is the owning Browser (sim/network/heap/profile)."""
         self.host = host
-        # per-browser numbering keeps worker names (and therefore traces)
-        # deterministic across repeated runs in one process
-        self.id = next(getattr(host, "worker_seq", _worker_ids))
+        # per-run numbering keeps worker names (and therefore traces)
+        # independent of what ran earlier in the process
+        self.id = host.sim.next_object_seq("worker")
         self.name = f"worker-{self.id}"
         self.parent_loop = parent_loop
         self.src = src

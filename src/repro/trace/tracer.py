@@ -23,11 +23,16 @@ disabled and shared by every simulator created outside a capture.
 Determinism
 -----------
 
-Emitted events must never include wall-clock values or process-global
-counters (task ids, kernel-event ids): two captures of the same seeded
-scenario are required to serialise byte-identically.  Run ids, thread
-ids and async-span ids are therefore all allocated per-tracer, in first
--use order, which is itself deterministic.
+Emitted events must never include wall-clock values: two captures of
+the same seeded scenario are required to serialise byte-identically.
+Run ids, thread ids and async-span ids are allocated per-tracer, in
+first-use order, which is itself deterministic.  Process-global
+counters cannot leak into an event by construction: ``src/repro`` has
+none.  Objects take ids from their run's
+:meth:`~repro.runtime.simulator.Simulator.next_object_seq`, and queue
+entries take tie-breaks from the push counter of the queue holding
+them.  ``tests/test_process_history.py`` guards both the rule (an AST
+scan) and its effect (identical digests in any process history).
 
 Storage
 -------

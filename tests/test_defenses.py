@@ -46,10 +46,10 @@ def test_fuzzyfox_installs_fuzzy_clock_and_pause_pump():
     browser = make_browser("fuzzyfox", with_bugs=False)
     assert isinstance(browser.clock_policy_factory(), FuzzyClockPolicy)
     page = browser.open_page("https://x.example/")
-    page.loop.record_trace = True
+    labels = []
+    page.loop.task_observers.append(lambda task, start, end: labels.append(task.label))
     browser.run(until=ms(30))
-    pause_tasks = [r for r in page.loop.trace if r.label == "fuzzyfox-pause"]
-    assert pause_tasks  # the pump is running
+    assert "fuzzyfox-pause" in labels  # the pump is running
 
 
 def test_tor_clock_and_network():

@@ -120,14 +120,12 @@ def test_stop_clears_queue_and_refuses_new_work():
 
 def test_trace_records_durations():
     sim, loop = make_loop()
-    loop.record_trace = True
+    seen = []
+    loop.task_observers.append(lambda task, start, end: seen.append((task.label, start, end)))
     loop.post(lambda: sim.consume(2_000_000), delay=1_000_000, label="work")
     sim.run()
-    assert len(loop.trace) == 1
-    record = loop.trace[0]
-    assert record.label == "work"
-    assert record.start == 1_000_000
-    assert record.duration == 2_000_000
+    # label, start at the ready time, end after the consumed 2 ms
+    assert seen == [("work", 1_000_000, 3_000_000)]
 
 
 def test_task_observers_fire():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernel import JSKernel, KernelEvent, KernelEventQueue, SchedulingGrid
 from repro.kernel.policies import DeterministicSchedulingPolicy
+from repro.kernel.policy import CompositePolicy
 from repro.runtime import Browser, chrome
 from repro.runtime.simtime import ms
 
@@ -22,7 +23,7 @@ def test_default_kernel_bundles_all_policies():
 
 
 def test_kernel_without_cve_policies():
-    kernel = JSKernel(include_cve_policies=False)
+    kernel = JSKernel(policies=[DeterministicSchedulingPolicy()])
     assert kernel.policy.find("deterministic-scheduling")
     assert kernel.policy.find("worker-lifecycle") is None
 
@@ -64,7 +65,9 @@ def test_custom_grid_changes_raf_slot():
 
 def test_single_policy_is_wrapped_in_composite():
     kernel = JSKernel(policies=[DeterministicSchedulingPolicy()])
-    assert kernel.policy.find("deterministic-scheduling")
+    assert isinstance(kernel.policy, CompositePolicy)
+    # a lone composite is used as is, not nested
+    assert JSKernel(policies=[kernel.policy]).policy is kernel.policy
 
 
 # ----------------------------------------------------------------------

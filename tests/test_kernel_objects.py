@@ -72,18 +72,23 @@ def test_queue_orders_by_predicted_time():
     queue = KernelEventQueue()
     late = queue.push(KernelEvent("a", ms(10)))
     early = queue.push(KernelEvent("b", ms(1)))
+    # equal predicted times break by the queue's own push counter
+    tie_first = queue.push(KernelEvent("c", ms(5)))
+    tie_second = queue.push(KernelEvent("d", ms(5)))
+    assert [late.id, early.id, tie_first.id, tie_second.id] == [1, 2, 3, 4]
     assert queue.top() is early
     assert queue.pop() is early
+    assert queue.pop() is tie_first
+    assert queue.pop() is tie_second
     assert queue.pop() is late
     assert queue.pop() is None
 
 
-def test_queue_lookup_and_remove():
+def test_queue_remove_drops_the_event():
     queue = KernelEventQueue()
     event = queue.push(KernelEvent("a", ms(1)))
-    assert queue.lookup(event.id) is event
     queue.remove(event)
-    assert queue.lookup(event.id) is None
+    assert len(queue) == 0
     assert queue.top() is None
 
 

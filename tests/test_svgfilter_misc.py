@@ -16,7 +16,7 @@ from repro.runtime.svgfilter import (
     filter_cost,
     subnormal_multiply_cost,
 )
-from repro.runtime.task import Task, TaskRecord, TaskSource, make_ready_key
+from repro.runtime.task import Task
 
 
 # ----------------------------------------------------------------------
@@ -64,23 +64,6 @@ def test_subnormal_cost_ratio():
 # ----------------------------------------------------------------------
 # tasks
 # ----------------------------------------------------------------------
-
-def test_task_ids_are_monotone():
-    a = Task(lambda: None)
-    b = Task(lambda: None)
-    assert b.id > a.id
-
-
-def test_make_ready_key_orders_fifo_within_time():
-    a = Task(lambda: None, ready_time=5)
-    b = Task(lambda: None, ready_time=5)
-    assert make_ready_key(a) < make_ready_key(b)
-
-
-def test_task_record_duration():
-    record = TaskRecord(1, "t", TaskSource.SCRIPT, 100, 350)
-    assert record.duration == 250
-
 
 def test_task_label_defaults_to_callback_name():
     def my_callback():

@@ -22,8 +22,15 @@ from repro.trace import Tracer, capture
 def _run_workload(timer_specs, promise_chain, rounds):
     """One deterministic mixed workload; returns its observable schedule."""
     sim = Simulator()
-    main = EventLoop(sim, "main", record_trace=True)
-    worker = EventLoop(sim, "worker", record_trace=True)
+    main = EventLoop(sim, "main")
+    worker = EventLoop(sim, "worker")
+    records = []
+    for loop in (main, worker):
+        loop.task_observers.append(
+            lambda task, start, end, name=loop.name: records.append(
+                (name, task.label, task.source.value, start, end)
+            )
+        )
     timers = TimerRegistry(main)
     side_main, side_worker = make_channel("chan", main, worker, latency_ns=ms(1))
     log = []
@@ -56,11 +63,6 @@ def _run_workload(timer_specs, promise_chain, rounds):
         side_main.post(0)
 
     sim.run()
-    records = [
-        (loop.name, r.label, r.source.value, r.start, r.end)
-        for loop in (main, worker)
-        for r in loop.trace
-    ]
     return {
         "log": log,
         "records": records,
