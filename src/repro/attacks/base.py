@@ -11,11 +11,14 @@ Two attack families:
 
 Each trial runs in a **fresh browser** built through the defense registry
 with the vulnerable legacy profile underneath, mirroring the paper's
-setup (vulnerable build + layered defense).
+setup (vulnerable build + layered defense), and the browser is closed
+(:meth:`~repro.runtime.browser.Browser.close`) once the trial's result
+is taken.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Dict, List, Optional
 
 from ..analysis.distinguish import best_threshold_accuracy, distinguishable
@@ -115,10 +118,10 @@ class TimingAttack(Attack):
     # ------------------------------------------------------------------
     def run_trial(self, defense_name: str, secret: str, seed: int) -> float:
         """One isolated measurement in a fresh browser."""
-        browser = make_browser(defense_name, seed=seed)
-        page = browser.open_page(self.page_url)
-        self.setup(browser, page, secret)
-        return self.measure(browser, page, secret)
+        with closing(make_browser(defense_name, seed=seed)) as browser:
+            page = browser.open_page(self.page_url)
+            self.setup(browser, page, secret)
+            return self.measure(browser, page, secret)
 
     def run(self, defense_name: str, seed: int = 0) -> AttackResult:
         """The Table I cell: distinguishability over paired trials.
@@ -191,19 +194,19 @@ class CveAttack(Attack):
 
     def run(self, defense_name: str, seed: int = 0) -> AttackResult:
         """The Table I cell: did the vulnerability trigger?"""
-        browser = make_browser(defense_name, seed=hash_seed(seed, self.name))
-        page = browser.open_page(self.page_url)
-        self.setup(browser, page)
-        try:
-            triggered = self.attempt(browser, page)
-            detail = "leak obtained" if triggered else "no trigger"
-        except BrowserCrash as crash:
-            triggered = True
-            detail = f"crash: {crash} ({crash.cve or self.cve})"
-        except SecurityError as blocked:
-            triggered = False
-            detail = f"blocked: {blocked}"
-        except MeasurementTimeout as timeout:
-            triggered = False
-            detail = f"timeout: {timeout}"
+        with closing(make_browser(defense_name, seed=hash_seed(seed, self.name))) as browser:
+            page = browser.open_page(self.page_url)
+            self.setup(browser, page)
+            try:
+                triggered = self.attempt(browser, page)
+                detail = "leak obtained" if triggered else "no trigger"
+            except BrowserCrash as crash:
+                triggered = True
+                detail = f"crash: {crash} ({crash.cve or self.cve})"
+            except SecurityError as blocked:
+                triggered = False
+                detail = f"blocked: {blocked}"
+            except MeasurementTimeout as timeout:
+                triggered = False
+                detail = f"timeout: {timeout}"
         return AttackResult(self.name, defense_name, triggered, mode="cve", detail=detail)

@@ -24,6 +24,8 @@ reproduces the identical cycle string.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from ...defenses import make_browser
 from ...errors import SecurityError
 from ...runtime.rng import hash_seed
@@ -44,39 +46,39 @@ class LockOrderDeadlockAttack(Attack):
     page_url = "https://attacker.example/"
 
     def run(self, defense_name: str, seed: int = 0) -> AttackResult:
-        browser = make_browser(defense_name, seed=hash_seed(seed, self.name))
-        page = browser.open_page(self.page_url)
+        with closing(make_browser(defense_name, seed=hash_seed(seed, self.name))) as browser:
+            page = browser.open_page(self.page_url)
 
-        def attack(scope) -> None:
-            lock1 = scope.sharedmem.Lock("L1")
-            lock2 = scope.sharedmem.Lock("L2")
+            def attack(scope) -> None:
+                lock1 = scope.sharedmem.Lock("L1")
+                lock2 = scope.sharedmem.Lock("L2")
 
-            def make_worker(first, second):
-                def worker_main(ws) -> None:
-                    def take_second() -> None:
-                        second.acquire(
-                            lambda: (second.release(), first.release())
+                def make_worker(first, second):
+                    def worker_main(ws) -> None:
+                        def take_second() -> None:
+                            second.acquire(
+                                lambda: (second.release(), first.release())
+                            )
+
+                        first.acquire(
+                            lambda: ws.setTimeout(take_second, SECOND_ACQUIRE_DELAY_MS)
                         )
 
-                    first.acquire(
-                        lambda: ws.setTimeout(take_second, SECOND_ACQUIRE_DELAY_MS)
-                    )
+                    return worker_main
 
-                return worker_main
+                scope.Worker(make_worker(lock1, lock2))
+                scope.Worker(make_worker(lock2, lock1))
 
-            scope.Worker(make_worker(lock1, lock2))
-            scope.Worker(make_worker(lock2, lock1))
+            blocked = ""
+            try:
+                page.run_script(attack)
+                browser.run(until=ms(self.timeout_ms))
+            except SecurityError as veto:
+                blocked = str(veto)
 
-        blocked = ""
-        try:
-            page.run_script(attack)
-            browser.run(until=ms(self.timeout_ms))
-        except SecurityError as veto:
-            blocked = str(veto)
-
-        deadlocks = browser.sharedmem.deadlocks
-        if deadlocks:
-            detail = f"deadlock: {deadlocks[0]['cycle']}"
-            return AttackResult(self.name, defense_name, True, mode="race", detail=detail)
-        detail = f"blocked: {blocked}" if blocked else "no deadlock"
-        return AttackResult(self.name, defense_name, False, mode="race", detail=detail)
+            deadlocks = browser.sharedmem.deadlocks
+            if deadlocks:
+                detail = f"deadlock: {deadlocks[0]['cycle']}"
+                return AttackResult(self.name, defense_name, True, mode="race", detail=detail)
+            detail = f"blocked: {blocked}" if blocked else "no deadlock"
+            return AttackResult(self.name, defense_name, False, mode="race", detail=detail)

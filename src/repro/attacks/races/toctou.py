@@ -20,6 +20,8 @@ the locking discipline, not the browser.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from ...defenses import make_browser
 from ...errors import SecurityError
 from ...runtime.rng import hash_seed
@@ -46,73 +48,73 @@ class SharedDictToctouAttack(Attack):
     page_url = "https://attacker.example/"
 
     def run(self, defense_name: str, seed: int = 0) -> AttackResult:
-        browser = make_browser(defense_name, seed=hash_seed(seed, self.name))
-        page = browser.open_page(self.page_url)
-        box: dict = {}
-        locked = self.locked
+        with closing(make_browser(defense_name, seed=hash_seed(seed, self.name))) as browser:
+            page = browser.open_page(self.page_url)
+            box: dict = {}
+            locked = self.locked
 
-        def attack(scope) -> None:
-            account = scope.sharedmem.Dict("account")
-            account.set("balance", OPENING_BALANCE)
-            lock = scope.sharedmem.Lock("account")
+            def attack(scope) -> None:
+                account = scope.sharedmem.Dict("account")
+                account.set("balance", OPENING_BALANCE)
+                lock = scope.sharedmem.Lock("account")
 
-            def withdraw_worker(ws) -> None:
-                def debit() -> None:
-                    account.set("balance", account.get("balance") - WITHDRAWAL)
+                def withdraw_worker(ws) -> None:
+                    def debit() -> None:
+                        account.set("balance", account.get("balance") - WITHDRAWAL)
 
-                def attempt() -> None:
-                    if account.get("balance") >= WITHDRAWAL:
-                        ws.busy_work(VALIDATION_MS)
-                        # the act lands in a later task: the TOCTOU gap
-                        ws.setTimeout(debit, 1)
-
-                def attempt_locked() -> None:
-                    def critical() -> None:
+                    def attempt() -> None:
                         if account.get("balance") >= WITHDRAWAL:
                             ws.busy_work(VALIDATION_MS)
-                            debit()
-                        lock.release()
+                            # the act lands in a later task: the TOCTOU gap
+                            ws.setTimeout(debit, 1)
 
-                    lock.acquire(critical)
+                    def attempt_locked() -> None:
+                        def critical() -> None:
+                            if account.get("balance") >= WITHDRAWAL:
+                                ws.busy_work(VALIDATION_MS)
+                                debit()
+                            lock.release()
 
-                if locked:
-                    attempt_locked()
-                else:
-                    attempt()
+                        lock.acquire(critical)
 
-            scope.Worker(withdraw_worker)
-            scope.Worker(withdraw_worker)
+                    if locked:
+                        attempt_locked()
+                    else:
+                        attempt()
 
-            def report() -> None:
-                if locked:
-                    # a lock-disciplined program locks *all* accesses,
-                    # the audit read included
-                    def critical() -> None:
+                scope.Worker(withdraw_worker)
+                scope.Worker(withdraw_worker)
+
+                def report() -> None:
+                    if locked:
+                        # a lock-disciplined program locks *all* accesses,
+                        # the audit read included
+                        def critical() -> None:
+                            box.setdefault("balance", account.get("balance"))
+                            lock.release()
+
+                        lock.acquire(critical)
+                    else:
                         box.setdefault("balance", account.get("balance"))
-                        lock.release()
 
-                    lock.acquire(critical)
-                else:
-                    box.setdefault("balance", account.get("balance"))
+                scope.setTimeout(report, 30)
 
-            scope.setTimeout(report, 30)
-
-        try:
-            page.run_script(attack)
-            balance = run_until_key(browser, box, "balance", self.timeout_ms)
-        except SecurityError as blocked:
-            return AttackResult(
-                self.name, defense_name, False, mode="race",
-                detail=f"blocked: {blocked}",
+            try:
+                page.run_script(attack)
+                balance = run_until_key(browser, box, "balance", self.timeout_ms)
+            except SecurityError as blocked:
+                return AttackResult(
+                    self.name, defense_name, False, mode="race",
+                    detail=f"blocked: {blocked}",
+                )
+            overdraft = balance < 0
+            detail = (
+                f"overdraft: balance={balance}" if overdraft
+                else f"no overdraft: balance={balance}"
             )
-        overdraft = balance < 0
-        detail = (
-            f"overdraft: balance={balance}" if overdraft
-            else f"no overdraft: balance={balance}"
-        )
-        return AttackResult(
-            self.name, defense_name, overdraft, mode="race", detail=detail
-        )
+            return AttackResult(
+                self.name, defense_name, overdraft, mode="race", detail=detail
+            )
 
 
 class SharedDictToctouLockedAttack(SharedDictToctouAttack):

@@ -16,6 +16,7 @@ Three experiments:
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Dict, List
 
 from ..analysis.stats import cosine_similarity
@@ -29,13 +30,13 @@ SIMILARITY_BAR = 0.99
 
 
 def _render_dom(config: str, site: SiteDescription, seed: int) -> str:
-    browser = make_browser(config, seed=seed, with_bugs=False)
-    page = browser.open_page(site.url)
-    load_site(browser, site, page=page)
-    browser.run_until(lambda: page.loaded)
-    # let post-load scripts settle a little
-    browser.run(until=browser.sim.dispatch_time + 50_000_000)
-    return page.document.serialize()
+    with closing(make_browser(config, seed=seed, with_bugs=False)) as browser:
+        page = browser.open_page(site.url)
+        load_site(browser, site, page=page)
+        browser.run_until(lambda: page.loaded)
+        # let post-load scripts settle a little
+        browser.run(until=browser.sim.dispatch_time + 50_000_000)
+        return page.document.serialize()
 
 
 def dom_similarity_survey(
@@ -170,11 +171,11 @@ def week_long_user_test(days: int = 7, seed: int = 0) -> Dict[str, Any]:
                 if key.startswith("functional:") and value in (False, None):
                     issues.append(f"day {day}: {app_name} broke {key}")
         for regression_name, regression in LAUNCH_BUG_REGRESSIONS.items():
-            browser = make_browser("jskernel", seed=day_seed, with_bugs=False)
-            page = browser.open_page("https://webapp.example/")
-            try:
-                if not regression(browser, page):
-                    issues.append(f"day {day}: regression {regression_name}")
-            except Exception as exc:
-                issues.append(f"day {day}: regression {regression_name} crashed: {exc}")
+            with closing(make_browser("jskernel", seed=day_seed, with_bugs=False)) as browser:
+                page = browser.open_page("https://webapp.example/")
+                try:
+                    if not regression(browser, page):
+                        issues.append(f"day {day}: regression {regression_name}")
+                except Exception as exc:
+                    issues.append(f"day {day}: regression {regression_name} crashed: {exc}")
     return {"days": days, "issues": issues}

@@ -28,6 +28,7 @@ why the paper calls the general problem future work.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ...errors import BrowserCrash, SecurityError
@@ -152,18 +153,18 @@ def extract_policy_for(attack_name: str, seed: int = 0) -> ExtractionResult:
     def run_with(policies) -> bool:
         """Run the exploit under a kernel with ``policies``; True = leaked."""
         kernel = JSKernel(policies=policies)
-        browser = Browser(profile=vulnerable("firefox"), seed=seed)
-        kernel.install(browser)
-        page = browser.open_page(attack.page_url)
-        attack.setup(browser, page)
-        try:
-            return bool(attack.attempt(browser, page))
-        except BrowserCrash:
-            return True
-        except SecurityError:
-            return False
-        except Exception:
-            return False
+        with closing(Browser(profile=vulnerable("firefox"), seed=seed)) as browser:
+            kernel.install(browser)
+            page = browser.open_page(attack.page_url)
+            attack.setup(browser, page)
+            try:
+                return bool(attack.attempt(browser, page))
+            except BrowserCrash:
+                return True
+            except SecurityError:
+                return False
+            except Exception:
+                return False
 
     leaked = run_with([recorder])
     if not leaked:

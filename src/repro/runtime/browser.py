@@ -107,6 +107,15 @@ class Browser:
         self.pages.append(page)
         return page
 
+    def close(self) -> None:
+        """Release every page's DOM once the browser's results are taken.
+
+        Idempotent, and silent: no virtual time, no trace event.  The
+        pages stay usable, each with an empty document.
+        """
+        for page in self.pages:
+            page.document.release()
+
     def make_shared_buffer(self, size: int = 8) -> SharedCounterBuffer:
         """``new SharedArrayBuffer(...)`` used as a counter timer."""
         return SharedCounterBuffer(self.sim)

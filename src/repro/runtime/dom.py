@@ -14,7 +14,9 @@ experiments need:
   connected ``<a>`` anchors, elements with pending paint), so a render frame
   costs O(anchors + pending paints) rather than a walk of the tree;
 * deterministic serialisation for the DOM-cosine-similarity compatibility
-  test (paper §V-B2).
+  test (paper §V-B2);
+* :meth:`Document.release`, which cuts the tree's back-edges when its
+  browser closes, so a dead tree is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -231,9 +233,10 @@ class Document:
         return Element(self, tag)
 
     def get_elements_by_tag(self, tag: str) -> List[Element]:
-        """All connected elements with the given tag."""
+        """All connected elements with the given tag, root included."""
         tag = tag.lower()
-        return [el for el in self.document_element.descendants() if el.tag == tag]
+        root = self.document_element
+        return [el for el in (root, *root.descendants()) if el.tag == tag]
 
     def _set_connected(self, root: Element, connected: bool) -> None:
         """Flip ``root``'s subtree in or out of the tree and its indexes."""
@@ -251,6 +254,29 @@ class Document:
                     del anchors[node]
             stack.extend(node.children)
         self.connected_count += count if connected else -count
+
+    def release(self) -> None:
+        """Tear the tree down to its bare root (``Browser.close``).
+
+        Cuts every ``parent``/``children`` edge below the root, so a dead
+        tree is freed by reference counting rather than by the cyclic GC,
+        and leaves a valid, empty document: no anchors, no pending paint,
+        ``connected_count == 1``.  Silent: no cost, no trace event.
+        """
+        root = self.document_element
+        stack = root.children[:]
+        root.children.clear()
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            node.children.clear()
+            node.parent = None
+            node._connected = False
+        for element in self.paint_pending:
+            element._pending_paint_cost = 0
+        self.paint_pending.clear()
+        self.anchors.clear()
+        self.connected_count = 1
 
     def mark_dirty(self) -> None:
         """Invalidate style/layout (renderer picks this up next frame)."""

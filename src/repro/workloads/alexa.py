@@ -8,6 +8,7 @@ sites) and measure ``Page.load_time_ns`` per configuration.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, List, Optional
 
 from ..defenses import make_browser
@@ -60,12 +61,12 @@ def _browser_for(config: str, seed: int):
 
 def measure_load_time_ms(config: str, site: SiteDescription, seed: int = 0) -> float:
     """One visit: virtual ms from navigation to the load event."""
-    browser = _browser_for(config, seed)
-    page = browser.open_page(site.url)
-    load_site(browser, site, page=page)
-    browser.run_until(lambda: page.loaded)
-    # drain a little so defense-level deferred work is accounted
-    return to_ms(page.load_time_ns)
+    with closing(_browser_for(config, seed)) as browser:
+        page = browser.open_page(site.url)
+        load_site(browser, site, page=page)
+        browser.run_until(lambda: page.loaded)
+        # drain a little so defense-level deferred work is accounted
+        return to_ms(page.load_time_ns)
 
 
 def measure_site_average(

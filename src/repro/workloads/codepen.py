@@ -14,6 +14,7 @@ wrong FPS counter; small timing drift passes).
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..defenses import make_browser
@@ -288,18 +289,18 @@ ASSET_PATHS = (
 
 def run_app(config: str, app_name: str, seed: int = 0) -> Dict[str, Any]:
     """Run one app under one configuration; returns its report."""
-    browser = make_browser(config, seed=seed, with_bugs=False)
-    page = browser.open_page("https://codepen.example/")
-    for asset in ASSET_PATHS:
-        browser.network.host_simple(
-            parse_url(f"https://codepen.example{asset}"), 12_000, "image/png"
-        )
-    report: Dict[str, Any] = {}
-    box: Dict[str, bool] = {}
-    _family, app = CODEPEN_APPS[app_name]
-    page.run_script(lambda scope: app(scope, report, lambda: box.__setitem__("done", True)))
-    browser.run_until(lambda: "done" in box)
-    return report
+    with closing(make_browser(config, seed=seed, with_bugs=False)) as browser:
+        page = browser.open_page("https://codepen.example/")
+        for asset in ASSET_PATHS:
+            browser.network.host_simple(
+                parse_url(f"https://codepen.example{asset}"), 12_000, "image/png"
+            )
+        report: Dict[str, Any] = {}
+        box: Dict[str, bool] = {}
+        _family, app = CODEPEN_APPS[app_name]
+        page.run_script(lambda scope: app(scope, report, lambda: box.__setitem__("done", True)))
+        browser.run_until(lambda: "done" in box)
+        return report
 
 
 def observable_difference(legacy: Dict[str, Any], under_defense: Dict[str, Any]) -> List[str]:

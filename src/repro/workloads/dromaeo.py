@@ -12,6 +12,7 @@ crosses the kernel boundary on every operation and pays ~21%.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Callable, Dict
 
 from ..analysis.stats import mean, median
@@ -100,18 +101,18 @@ DROMAEO_TESTS: Dict[str, Callable] = {
 
 def run_test(config: str, test_name: str, seed: int = 0) -> float:
     """Virtual-time duration (ms) of one test under one configuration."""
-    browser = make_browser(config, seed=seed, with_bugs=False)
-    page = browser.open_page("https://dromaeo.example/")
-    box: Dict[str, float] = {}
+    with closing(make_browser(config, seed=seed, with_bugs=False)) as browser:
+        page = browser.open_page("https://dromaeo.example/")
+        box: Dict[str, float] = {}
 
-    def runner(scope) -> None:
-        start = browser.sim.now
-        DROMAEO_TESTS[test_name](scope)
-        box["duration_ms"] = to_ms(browser.sim.now - start)
+        def runner(scope) -> None:
+            start = browser.sim.now
+            DROMAEO_TESTS[test_name](scope)
+            box["duration_ms"] = to_ms(browser.sim.now - start)
 
-    page.run_script(runner, label=f"dromaeo:{test_name}")
-    browser.run_until(lambda: "duration_ms" in box)
-    return box["duration_ms"]
+        page.run_script(runner, label=f"dromaeo:{test_name}")
+        browser.run_until(lambda: "duration_ms" in box)
+        return box["duration_ms"]
 
 
 def overhead_report(

@@ -9,6 +9,7 @@ script that fetches and installs the hero image.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, List
 
 from ..analysis.stats import mean, stdev
@@ -60,37 +61,38 @@ def measure_hero_time_ms(config: str, subtest: str, seed: int = 0) -> float:
         browser = make_browser("jskernel", browser_name="firefox", seed=seed, with_bugs=False)
     else:
         browser = make_browser(config, seed=seed, with_bugs=False)
-    page = browser.open_page(site.url)
-    host_site(browser.network, site)
-    hero_url = parse_url(f"https://{site.host}/img/hero.png")
-    browser.network.host(Resource(hero_url, profile["hero_kb"] * 1024, "image/png"))
+    with closing(browser):
+        page = browser.open_page(site.url)
+        host_site(browser.network, site)
+        hero_url = parse_url(f"https://{site.host}/img/hero.png")
+        browser.network.host(Resource(hero_url, profile["hero_kb"] * 1024, "image/png"))
 
-    box: Dict[str, int] = {}
+        box: Dict[str, int] = {}
 
-    def main_script(scope) -> None:
-        document = scope.document
-        for i in range(site.dom_nodes // 10):
-            div = document.create_element("div")
-            document.body.append_child(div)
-        for resource in site.resources:
-            el = document.create_element("script" if resource.kind == "script" else "img")
-            document.body.append_child(el)
-            el.set_attribute("src", resource.path)
-        for delay_ms, cost_ms in site.task_pattern:
-            scope.setTimeout((lambda c: lambda: scope.busy_work(c))(cost_ms), delay_ms)
-        page.arm_load_event()
+        def main_script(scope) -> None:
+            document = scope.document
+            for i in range(site.dom_nodes // 10):
+                div = document.create_element("div")
+                document.body.append_child(div)
+            for resource in site.resources:
+                el = document.create_element("script" if resource.kind == "script" else "img")
+                document.body.append_child(el)
+                el.set_attribute("src", resource.path)
+            for delay_ms, cost_ms in site.task_pattern:
+                scope.setTimeout((lambda c: lambda: scope.busy_work(c))(cost_ms), delay_ms)
+            page.arm_load_event()
 
-    def install_hero(scope) -> None:
-        scope.busy_work(profile["hero_work_ms"])
-        hero = scope.document.create_element("img")
-        hero.onload = lambda: box.__setitem__("hero_ns", browser.sim.now)
-        scope.document.body.append_child(hero)
-        hero.set_attribute("src", "/img/hero.png")
+        def install_hero(scope) -> None:
+            scope.busy_work(profile["hero_work_ms"])
+            hero = scope.document.create_element("img")
+            hero.onload = lambda: box.__setitem__("hero_ns", browser.sim.now)
+            scope.document.body.append_child(hero)
+            hero.set_attribute("src", "/img/hero.png")
 
-    page.run_script(main_script, label=f"raptor:{subtest}")
-    page.on_load(lambda: page.run_script(install_hero, label="hero-install"))
-    browser.run_until(lambda: "hero_ns" in box)
-    return to_ms(box["hero_ns"])
+        page.run_script(main_script, label=f"raptor:{subtest}")
+        page.on_load(lambda: page.run_script(install_hero, label="hero-install"))
+        browser.run_until(lambda: "hero_ns" in box)
+        return to_ms(box["hero_ns"])
 
 
 def table3_rows(

@@ -8,6 +8,7 @@ answered a ping.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, List
 
 from ..analysis.stats import mean
@@ -20,37 +21,37 @@ WORKER_COUNT = 16
 
 def measure_worker_creation_ms(config: str, count: int = WORKER_COUNT, seed: int = 0) -> float:
     """Virtual ms from first construction to the last ready ping."""
-    browser = make_browser(config, seed=seed, with_bugs=False)
-    page = browser.open_page("https://workerbench.example/")
-    box: Dict[str, int] = {"ready": 0}
+    with closing(make_browser(config, seed=seed, with_bugs=False)) as browser:
+        page = browser.open_page("https://workerbench.example/")
+        box: Dict[str, int] = {"ready": 0}
 
-    def bench(scope) -> None:
-        box["start"] = browser.sim.now
+        def bench(scope) -> None:
+            box["start"] = browser.sim.now
 
-        def worker_main(ws) -> None:
-            def on_ping(event) -> None:
-                # the pmav benchmark's workers do real work before replying
-                ws.busy_work(20.0)
-                ws.postMessage("pong")
+            def worker_main(ws) -> None:
+                def on_ping(event) -> None:
+                    # the pmav benchmark's workers do real work before replying
+                    ws.busy_work(20.0)
+                    ws.postMessage("pong")
 
-            ws.onmessage = on_ping
+                ws.onmessage = on_ping
 
-        for _ in range(count):
-            worker = scope.Worker(worker_main)
-            worker.onmessage = _make_on_ready(worker)
-            worker.postMessage("ping")
+            for _ in range(count):
+                worker = scope.Worker(worker_main)
+                worker.onmessage = _make_on_ready(worker)
+                worker.postMessage("ping")
 
-    def _make_on_ready(worker):
-        def on_ready(_event) -> None:
-            box["ready"] += 1
-            if box["ready"] == count:
-                box["end"] = browser.sim.now
+        def _make_on_ready(worker):
+            def on_ready(_event) -> None:
+                box["ready"] += 1
+                if box["ready"] == count:
+                    box["end"] = browser.sim.now
 
-        return on_ready
+            return on_ready
 
-    page.run_script(bench, label="worker-bench")
-    browser.run_until(lambda: "end" in box)
-    return to_ms(box["end"] - box["start"])
+        page.run_script(bench, label="worker-bench")
+        browser.run_until(lambda: "end" in box)
+        return to_ms(box["end"] - box["start"])
 
 
 def worker_overhead_pct(

@@ -111,6 +111,12 @@ def test_get_elements_by_tag(doc):
     assert len(doc.get_elements_by_tag("SPAN")) == 2
 
 
+def test_get_elements_by_tag_includes_the_root(doc):
+    # getElementsByTagName searches the whole document, <html> included
+    assert doc.get_elements_by_tag("HTML") == [doc.document_element]
+    assert doc.get_elements_by_tag("body") == [doc.body]
+
+
 def test_dom_operations_consume_time(doc):
     sim = doc.sim
     frame = ExecutionFrame(0, "t")
@@ -298,6 +304,13 @@ class DomIndexMachine(RuleBasedStateMachine):
             element.pending_paint_cost += cost * 1_000
         else:
             element.pending_paint_cost = cost * 1_000
+
+    @rule()
+    def release(self):
+        # Browser.close: the document is left valid and empty, so every
+        # later rule (creates and appends included) keeps working on it
+        self.doc.release()
+        assert self.doc.document_element.children == []
 
     @rule(dirty=st.booleans())
     def frame(self, dirty):
