@@ -144,12 +144,6 @@ def _cache(args):
     return None if args.no_cache else (args.cache_dir or True)
 
 
-def _die(message: str) -> None:
-    """Print a clear error to stderr and exit non-zero."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
 def _write_json(payload: str, out: str) -> None:
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(payload + "\n")
@@ -356,23 +350,25 @@ def _cmd_fuzz(args) -> None:
     )
     from .explore.oracles import signature
 
-    # the env var (not a parameter) so pool workers inherit the budget
-    os.environ["REPRO_MAX_EVENTS"] = str(args.max_events)
-
     if args.replay:
         try:
             witness = load_witness(args.replay)
         except (OSError, ValueError) as exc:
-            _die(f"cannot load witness {args.replay!r}: {exc}")
+            args.error(f"cannot load witness {args.replay!r}: {exc}")
         if not isinstance(witness, dict) or "verdict" not in witness:
-            _die(f"{args.replay!r} is not a witness file (no verdict)")
+            args.error(f"{args.replay!r} is not a witness file (no verdict)")
+
+    # the env var (not a parameter) so pool workers inherit the budget
+    os.environ["REPRO_MAX_EVENTS"] = str(args.max_events)
+
+    if args.replay:
         expected = witness.get("signature") or signature(witness["verdict"])
         verdicts = [replay_witness(witness) for _ in range(2)]
         for i, verdict in enumerate(verdicts, start=1):
             print(f"replay {i}: outcome {verdict['outcome']!r}, "
                   f"failures {verdict['failures']}")
         if any(signature(v) != expected for v in verdicts):
-            _die(
+            args.error(
                 f"witness did not replay: expected signature {expected}, got "
                 f"{[signature(v) for v in verdicts]}"
             )

@@ -123,10 +123,6 @@ class HBGraph:
         """Total number of direct edges (debug/reporting)."""
         return sum(len(e.preds) for e in self.events)
 
-    def end_time(self) -> int:
-        """Latest timestamp (span ends included) in the run."""
-        return max((e.end_ts for e in self.events), default=0)
-
 
 def _chain(rows: Dict[str, int], row: str, node: HBEvent) -> None:
     """Append ``node`` to ``row``'s program-order chain."""

@@ -62,16 +62,6 @@ class Race:
             "second": leg(self.second),
         }
 
-    def describe(self) -> str:
-        """One human-readable line."""
-        return (
-            f"[{self.pattern}] {self.obj}: "
-            f"{self.first.args.get('access') or self.first.args.get('op')} "
-            f"on {self.first.thread} @ {self.first.ts} ns vs "
-            f"{self.second.args.get('access') or self.second.args.get('op')} "
-            f"on {self.second.thread} @ {self.second.ts} ns"
-        )
-
 
 def _classify(kind: str, first, second) -> str:
     ops = (first.args.get("op"), second.args.get("op"))

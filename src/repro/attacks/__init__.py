@@ -1,7 +1,7 @@
 """Web concurrency attacks: every row of the paper's Table I."""
 
 from .base import Attack, AttackResult, CveAttack, MeasurementTimeout, TimingAttack
-from .expected import cve_rows, expected_matrix, expected_row, timing_rows
+from .expected import cve_rows, expected_matrix, timing_rows
 from .registry import TABLE1_ATTACKS, all_attack_names, attack_names, create
 
 __all__ = [
@@ -16,6 +16,5 @@ __all__ = [
     "create",
     "cve_rows",
     "expected_matrix",
-    "expected_row",
     "timing_rows",
 ]

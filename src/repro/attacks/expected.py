@@ -133,11 +133,6 @@ EXPECTED_BYPASSES: Dict[str, Dict[str, bool]] = {
 }
 
 
-def expected_row(attack: str) -> Dict[str, bool]:
-    """One Table I row."""
-    return expected_matrix()[attack]
-
-
 def timing_rows() -> List[str]:
     """The implicit-clock rows in Table I order."""
     return list(_TIMING_ROWS)

@@ -25,20 +25,12 @@ class TimerTickClock:
         self.scope = scope
         self.period_ms = period_ms
         self.count = 0
-        self._running = False
 
     def start(self) -> None:
         """Begin ticking."""
-        self._running = True
         self._tick()
 
-    def stop(self) -> None:
-        """Stop ticking (chain dies at the next firing)."""
-        self._running = False
-
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.count += 1
         self.scope.setTimeout(self._tick, self.period_ms)
 
@@ -70,16 +62,9 @@ class WorkerFloodClock:
 
         self.worker = scope.Worker(worker_main)
         self.worker.onmessage = self._on_message
-        self._observers: List[Callable[[int], None]] = []
 
     def _on_message(self, _event) -> None:
         self.count += 1
-        for observer in list(self._observers):
-            observer(self.count)
-
-    def on_tick(self, observer: Callable[[int], None]) -> None:
-        """Register a per-onmessage observer."""
-        self._observers.append(observer)
 
     def read(self) -> int:
         """Number of onmessage invocations so far."""

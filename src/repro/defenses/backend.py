@@ -31,7 +31,8 @@ single slot that ``covers`` several capabilities.
 Installation is idempotent per browser: installing the same backend
 object twice is a no-op, and the first install leaves a receipt on the
 browser (``browser.defense_receipts``) recording which slots were
-applied — the conformance suite and the cube harness both read it.
+applied; the conformance tests (``tests/test_defense_backends.py``)
+read it.
 """
 
 from __future__ import annotations

@@ -41,22 +41,16 @@ class ChromeZero(DefenseBackend):
     base_browser = "chrome"
     capabilities = frozenset({"clock", "worker", "scope"})
 
-    def __init__(
-        self,
-        clock_resolution_ns: int = us(100),
-        clock_noise_ns: int = us(100),
-        wrap_cost_ns: int = 15_000,
-    ):
-        self.clock_resolution_ns = clock_resolution_ns
-        self.clock_noise_ns = clock_noise_ns
-        self.wrap_cost_ns = wrap_cost_ns
+    CLOCK_RESOLUTION_NS = us(100)
+    #: Interposition cost charged on every wrapped call.
+    WRAP_COST_NS = 15_000
 
     def clock_slot(self, browser) -> ClockSlot:
         """JavaScript Zero inherits Fuzzyfox's fuzzy-time idea for its
         redefined clocks (coarse AND randomly-updating)."""
         rng = browser.rng.stream("chromezero")
         return ClockSlot(
-            policy_factory=lambda: FuzzyClockPolicy(self.clock_resolution_ns, rng)
+            policy_factory=lambda: FuzzyClockPolicy(self.CLOCK_RESOLUTION_NS, rng)
         )
 
     def worker_slot(self, browser) -> WorkerSlot:
@@ -88,7 +82,7 @@ class ChromeZero(DefenseBackend):
         native = getattr(scope, attr)
         if native is None:
             return
-        cost = self.wrap_cost_ns
+        cost = self.WRAP_COST_NS
 
         def wrapped(*args, **kwargs):
             browser.sim.consume(cost)

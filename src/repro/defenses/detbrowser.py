@@ -44,9 +44,10 @@ class DetBrowser(DefenseBackend):
 
     capabilities = frozenset({"clock", "scheduler", "worker"})
 
-    def __init__(self, quantum_ns: int = us(10)):
-        #: Deterministic-clock advance per observable operation.
-        self.quantum_ns = quantum_ns
+    #: Deterministic-clock advance per observable operation.
+    QUANTUM_NS = us(10)
+
+    def __init__(self):
         self.grid = SchedulingGrid()
         self.policy = CompositePolicy([DeterministicSchedulingPolicy()])
 
@@ -54,9 +55,9 @@ class DetBrowser(DefenseBackend):
     def clock_slot(self, browser) -> ClockSlot:
         """Per-thread deterministic clocks, animation/media included."""
         return ClockSlot(
-            policy_factory=lambda: DeterministicClockPolicy(self.quantum_ns),
+            policy_factory=lambda: DeterministicClockPolicy(self.QUANTUM_NS),
             animation_policy_factory=lambda: DeterministicClockPolicy(
-                self.quantum_ns
+                self.QUANTUM_NS
             ),
         )
 
@@ -73,22 +74,21 @@ class DetBrowser(DefenseBackend):
 
     # ------------------------------------------------------------------
     def _on_page(self, page) -> None:
-        kspace = install_deterministic_delivery(
+        install_deterministic_delivery(
             page, self.policy, self.grid, label=f"detbrowser:{page.origin.host}"
         )
         # Date reads advance on the same deterministic quantum.
-        page.scope.Date.policy = DeterministicClockPolicy(self.quantum_ns)
-        page.detbrowser_kspace = kspace
+        page.scope.Date.policy = DeterministicClockPolicy(self.QUANTUM_NS)
 
     def _wrap_shared(self, scope) -> None:
         self._wrap_shared_buffers(scope)
         api = getattr(scope, "sharedmem", None)
         if api is not None:
-            api.set_policy(DetSharedMemPolicy(self.quantum_ns))
+            api.set_policy(DetSharedMemPolicy(self.QUANTUM_NS))
 
     def _wrap_shared_buffers(self, scope) -> None:
         native_factory = scope.SharedArrayBuffer
-        quantum_ns = self.quantum_ns
+        quantum_ns = self.QUANTUM_NS
 
         def det_shared_buffer(size: int = 8):
             return DetSharedBuffer(native_factory(size), quantum_ns)

@@ -51,7 +51,7 @@ class DeterFox(DefenseBackend):
         )
 
     def _on_page(self, page) -> None:
-        kspace = install_deterministic_delivery(
+        install_deterministic_delivery(
             page, self.policy, self.grid, label=f"deterfox:{page.origin.host}"
         )
         # a Firefox fork patched in C++: occasional loading errors (the
@@ -62,4 +62,3 @@ class DeterFox(DefenseBackend):
         # probe — DeterFox's determinism is per-page), animation/media
         # clocks, SharedArrayBuffer, the kernel thread manager, and every
         # security policy.
-        page.deterfox_kspace = kspace

@@ -16,12 +16,9 @@ from ..kernel.interface import KernelInterface
 from ..kernel.space import KernelSpace
 
 
-def install_deterministic_delivery(page, policy, grid, label: str) -> KernelSpace:
-    """Route the page's async completions through a deterministic grid.
-
-    Returns the per-page :class:`KernelSpace` so callers can attach it to
-    the page for inspection.
-    """
+def install_deterministic_delivery(page, policy, grid, label: str) -> None:
+    """Route the page's async completions through a deterministic grid
+    (one per-page :class:`KernelSpace`)."""
     kspace = KernelSpace(page.loop, policy, grid, label=label)
     interface = KernelInterface(kspace)
     interface.install_timers(page.scope)
@@ -29,7 +26,6 @@ def install_deterministic_delivery(page, policy, grid, label: str) -> KernelSpac
     interface.install_fetch(page.scope)
     interface.install_dom_loading(page)
     wrap_worker_messages(page, kspace)
-    return kspace
 
 
 def wrap_worker_messages(page, kspace: KernelSpace) -> None:

@@ -27,23 +27,20 @@ class Fuzzyfox(DefenseBackend):
     base_browser = "firefox"
     capabilities = frozenset({"clock", "scheduler", "scope"})
 
-    def __init__(
-        self,
-        fuzz_resolution_ns: int = ms(1),
-        pause_interval_ns: int = ms(1),
-        pause_max_cost_ns: int = ms(8),
-    ):
-        self.fuzz_resolution_ns = fuzz_resolution_ns
-        self.pause_interval_ns = pause_interval_ns
-        self.pause_max_cost_ns = pause_max_cost_ns
+    #: Fuzzy-clock update grain.
+    FUZZ_RESOLUTION_NS = ms(1)
+    #: Mean gap between pause tasks (drawn from half to twice this).
+    PAUSE_INTERVAL_NS = ms(1)
+    #: Largest cost of one pause task.
+    PAUSE_MAX_COST_NS = ms(8)
 
     def clock_slot(self, browser) -> ClockSlot:
         """Fuzzy clocks on every time source, animation/media included."""
         rng = browser.rng.stream("fuzzyfox")
         return ClockSlot(
-            policy_factory=lambda: FuzzyClockPolicy(self.fuzz_resolution_ns, rng),
+            policy_factory=lambda: FuzzyClockPolicy(self.FUZZ_RESOLUTION_NS, rng),
             animation_policy_factory=lambda: FuzzyClockPolicy(
-                self.fuzz_resolution_ns, rng
+                self.FUZZ_RESOLUTION_NS, rng
             ),
         )
 
@@ -70,8 +67,8 @@ class Fuzzyfox(DefenseBackend):
         def pause() -> None:
             if loop.stopped:
                 return
-            cost = rng.randint(0, self.pause_max_cost_ns)
-            delay = rng.randint(self.pause_interval_ns // 2, self.pause_interval_ns * 2)
+            cost = rng.randint(0, self.PAUSE_MAX_COST_NS)
+            delay = rng.randint(self.PAUSE_INTERVAL_NS // 2, self.PAUSE_INTERVAL_NS * 2)
             loop.post(
                 pause,
                 delay=delay,
@@ -80,5 +77,5 @@ class Fuzzyfox(DefenseBackend):
                 label="fuzzyfox-pause",
             )
 
-        loop.post(pause, delay=self.pause_interval_ns, source=TaskSource.PAUSE,
+        loop.post(pause, delay=self.PAUSE_INTERVAL_NS, source=TaskSource.PAUSE,
                   label="fuzzyfox-pause")

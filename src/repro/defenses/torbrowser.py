@@ -21,26 +21,19 @@ class TorBrowser(DefenseBackend):
     base_browser = "firefox"
     capabilities = frozenset({"clock", "scope"})
 
-    def __init__(
-        self,
-        clock_resolution_ns: int = ms(100),
-        circuit_latency_ns: int = ms(220),
-        bandwidth_bytes_per_ms: int = 600,
-        js_cost_scale: float = 40.0,
-    ):
-        self.clock_resolution_ns = clock_resolution_ns
-        self.circuit_latency_ns = circuit_latency_ns
-        self.bandwidth_bytes_per_ms = bandwidth_bytes_per_ms
-        #: Security slider disables the JIT: script work slows ~40x,
-        #: which is why Loophole measured event intervals of hundreds of
-        #: milliseconds on Tor (Table II's 500/600 ms column).
-        self.js_cost_scale = js_cost_scale
+    CLOCK_RESOLUTION_NS = ms(100)
+    CIRCUIT_LATENCY_NS = ms(220)
+    BANDWIDTH_BYTES_PER_MS = 600
+    #: Security slider disables the JIT: script work slows ~40x,
+    #: which is why Loophole measured event intervals of hundreds of
+    #: milliseconds on Tor (Table II's 500/600 ms column).
+    JS_COST_SCALE = 40.0
 
     def clock_slot(self, browser) -> ClockSlot:
         """The famous 100 ms clamp (animation clocks stay exact)."""
         return ClockSlot(
             policy_factory=lambda: QuantizedClockPolicy(
-                self.clock_resolution_ns, name="tor-100ms"
+                self.CLOCK_RESOLUTION_NS, name="tor-100ms"
             )
         )
 
@@ -48,16 +41,16 @@ class TorBrowser(DefenseBackend):
         """Onion-route the network; security slider disables the JIT."""
 
         def shape_network(b) -> None:
-            b.network.base_latency_ns = self.circuit_latency_ns
+            b.network.base_latency_ns = self.CIRCUIT_LATENCY_NS
             b.network.jitter_ns = ms(60)
-            b.network.bandwidth_bytes_per_ms = self.bandwidth_bytes_per_ms
+            b.network.bandwidth_bytes_per_ms = self.BANDWIDTH_BYTES_PER_MS
 
         return ScopeSlot(
             browser_hook=shape_network,
             page_hook=lambda page: setattr(
-                page.scope, "js_cost_scale", self.js_cost_scale
+                page.scope, "js_cost_scale", self.JS_COST_SCALE
             ),
             worker_hook=lambda agent: setattr(
-                agent.scope, "js_cost_scale", self.js_cost_scale
+                agent.scope, "js_cost_scale", self.JS_COST_SCALE
             ),
         )

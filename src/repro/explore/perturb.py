@@ -76,55 +76,22 @@ def label_class(label: str) -> str:
 
 
 class Perturber:
-    """Base strategy: never delays anything (the identity schedule)."""
+    """Base strategy: each subclass's ``delay_for(label)`` returns the
+    extra delay (ns) for the next occurrence of ``label``."""
 
-    strategy = "none"
-
-    def __init__(self) -> None:
-        self.dispatches = 0
-        self.delays_injected = 0
-        self.delay_total_ns = 0
-
-    # -- hook API (called by Simulator / EventLoop) ---------------------
     def perturb(self, sim, at: int, label: str) -> int:
-        """The perturbed schedule time for an event nominally at ``at``."""
+        """The perturbed schedule time for an event nominally at ``at``
+        (the hook :class:`~repro.runtime.simulator.Simulator` and
+        :class:`~repro.runtime.eventloop.EventLoop` call)."""
         if exempt_label(label):
             return at
-        delay = self.delay_for(label)
-        if delay > 0:
-            self.delays_injected += 1
-            self.delay_total_ns += delay
-        return at + delay
-
-    def on_dispatch(self, label: str) -> None:
-        """Dispatch notification (statistics only — see module docstring)."""
-        self.dispatches += 1
-
-    # -- strategy API ---------------------------------------------------
-    def delay_for(self, label: str) -> int:
-        """Extra delay (ns) for the next occurrence of ``label``."""
-        return 0
-
-    def spec(self) -> dict:
-        """The JSON spec that rebuilds this strategy (witness format)."""
-        return {"strategy": self.strategy}
-
-    def stats(self) -> dict:
-        """What the strategy actually did during a run."""
-        return {
-            "dispatches": self.dispatches,
-            "delays_injected": self.delays_injected,
-            "delay_total_ns": self.delay_total_ns,
-        }
+        return at + self.delay_for(label)
 
 
 class JitterPerturber(Perturber):
     """Random per-event dispatch-delay jitter."""
 
-    strategy = "jitter"
-
     def __init__(self, seed: int = 0, rate: float = 0.3, magnitude_ns: int = ms(1)):
-        super().__init__()
         self.seed = int(seed)
         self.rate = float(rate)
         self.magnitude_ns = int(magnitude_ns)
@@ -138,19 +105,9 @@ class JitterPerturber(Perturber):
             return 0
         return (h // 10_000) % (self.magnitude_ns + 1)
 
-    def spec(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "rate": self.rate,
-            "magnitude_ns": self.magnitude_ns,
-        }
-
 
 class PriorityPerturber(Perturber):
     """PCT-style priority schedules over label classes."""
-
-    strategy = "priority"
 
     def __init__(
         self,
@@ -159,7 +116,6 @@ class PriorityPerturber(Perturber):
         step_ns: int = ms(1),
         change_every: int = 16,
     ):
-        super().__init__()
         self.seed = int(seed)
         self.levels = max(int(levels), 1)
         self.step_ns = int(step_ns)
@@ -174,15 +130,6 @@ class PriorityPerturber(Perturber):
         level = hash_seed(self.seed, f"prio:{phase}:{cls}") % self.levels
         return level * self.step_ns
 
-    def spec(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "levels": self.levels,
-            "step_ns": self.step_ns,
-            "change_every": self.change_every,
-        }
-
 
 class TargetedPerturber(Perturber):
     """Explicit reordering rules around chosen schedule edges.
@@ -192,10 +139,7 @@ class TargetedPerturber(Perturber):
     witness minimizer removes one by one.
     """
 
-    strategy = "targeted"
-
     def __init__(self, rules: Optional[List[dict]] = None):
-        super().__init__()
         self.rules = [
             {"match": str(rule["match"]), "delay_ns": int(rule["delay_ns"])}
             for rule in (rules or [])
@@ -207,9 +151,6 @@ class TargetedPerturber(Perturber):
             if rule["match"] in label:
                 delay += rule["delay_ns"]
         return delay
-
-    def spec(self) -> dict:
-        return {"strategy": self.strategy, "rules": [dict(r) for r in self.rules]}
 
 
 #: Spec-strategy → constructor-from-spec.

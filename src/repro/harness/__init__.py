@@ -3,10 +3,8 @@
 from .audit import (
     AUDIT_SEEDS,
     DETERMINISTIC_DEFENSES,
-    assert_deterministic,
     determinism_matrix,
     determinism_violations,
-    render_determinism,
 )
 from .compat import (
     LAUNCH_BUG_REGRESSIONS,
@@ -46,7 +44,6 @@ __all__ = [
     "TableOneResult",
     "api_compat_counts",
     "as_cache",
-    "assert_deterministic",
     "code_fingerprint",
     "default_cache_dir",
     "determinism_matrix",
@@ -58,7 +55,6 @@ __all__ = [
     "dromaeo_overhead",
     "figure2_script_parsing",
     "figure3_cdf",
-    "render_determinism",
     "run_table1",
     "table2_svg_loopscan",
     "table3_raptor",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.determinism import audit_scenario, combine_schedules
+from ..analysis.determinism import combine_schedules
 from .parallel import Cell, ExperimentEngine
 
 #: Defenses whose scheduling policy promises a seed-independent dispatch
@@ -92,33 +92,3 @@ def determinism_violations(reports: Dict[str, Dict[str, dict]]) -> List[str]:
                     f"divergence {report['divergence']}"
                 )
     return violations
-
-
-def assert_deterministic(
-    attack_name: str,
-    defense_name: str,
-    seeds: Sequence[int] = AUDIT_SEEDS,
-) -> dict:
-    """Audit one cell and raise ``AssertionError`` on divergence."""
-    report = audit_scenario(attack_name, defense_name, seeds=tuple(seeds))
-    if report["divergence"] != 0:
-        raise AssertionError(
-            f"{attack_name} vs {defense_name} diverged across seeds "
-            f"{list(seeds)}: {report['first_divergence']}"
-        )
-    return report
-
-
-def render_determinism(reports: Dict[str, Dict[str, dict]]) -> str:
-    """Text table: divergence per cell, with the promise marked."""
-    lines = []
-    for attack_name, row in reports.items():
-        for defense_name, report in row.items():
-            promised = defense_name in DETERMINISTIC_DEFENSES
-            verdict = "deterministic" if report["deterministic"] else "seed-dependent"
-            marker = " [required]" if promised else ""
-            lines.append(
-                f"{attack_name} vs {defense_name}: divergence "
-                f"{report['divergence']} ({verdict}){marker}"
-            )
-    return "\n".join(lines)

@@ -155,26 +155,6 @@ class ResultCache:
         if tracer.enabled:
             tracer.metrics.counter(f"cache.{event}").inc()
 
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(1 for f in filenames if f.endswith(".json"))
-        return count
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for filename in filenames:
-                if filename.endswith(".json"):
-                    try:
-                        os.unlink(os.path.join(dirpath, filename))
-                        removed += 1
-                    except OSError:
-                        pass
-        return removed
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ResultCache {self.root!r} hits={self.hits} "

@@ -38,21 +38,20 @@ class Dispatcher:
         # real<->kernel anchors for pacing
         self._anchor_real = self.loop.sim.now
         self._anchor_kernel = kspace.clock.now
-        self._armed_for: Optional[int] = None
         self._dispatch_scheduled = False
         self.dispatched_count = 0
-        #: Kernel invariant telemetry: under an order-enforcing policy the
+        #: Kernel invariant: under an order-enforcing policy the
         #: dispatched predicted times must be monotone non-decreasing.
-        #: Any violation is a kernel bug (fuzz oracle, see
+        #: A violation is a kernel bug, traced as
+        #: ``kernel.order-violation`` (fuzz oracle, see
         #: repro.explore.oracles).
         self._last_predicted: Optional[int] = None
-        self.order_violations = 0
         # per-kind label caches: kick() runs on every register/confirm and
         # must not build an f-string per call on the untraced path
         self._kick_labels: dict = {}
         self._span_names: dict = {}
-        # cached metric handles, rebound when the capture's tracer changes
-        self._mh_tracer = None
+        # cached metric handles, bound on the first traced dispatch (a
+        # simulator's tracer is fixed for its life)
         self._mh_dispatched: dict = {}
         self._mh_latency_hist = None
 
@@ -130,7 +129,6 @@ class Dispatcher:
                 self._last_predicted is not None
                 and event.predicted_time < self._last_predicted
             ):
-                self.order_violations += 1
                 if sim.tracer.enabled:
                     sim.tracer.instant(
                         sim.trace_pid,
@@ -173,9 +171,7 @@ class Dispatcher:
                         "ctx": sim.trace_context,
                     },
                 )
-            if tracer is not self._mh_tracer:
-                self._mh_tracer = tracer
-                self._mh_dispatched = {}
+            if self._mh_latency_hist is None:
                 self._mh_latency_hist = tracer.metrics.histogram(
                     f"kernel.dispatch_latency_ns.{self.kspace.label}",
                     LATENCY_BUCKETS_NS,

@@ -39,7 +39,6 @@ class KernelClock:
         self.display_resolution_ns = display_resolution_ns
         self._now = 0
         self.api_ticks = 0
-        self.dispatch_ticks = 0
 
     # ------------------------------------------------------------------
     # ticking API (paper: "tick either by or to a certain value")
@@ -58,7 +57,6 @@ class KernelClock:
         """Advance the clock to ``target_ns`` (never backwards)."""
         if target_ns > self._now:
             self._now = target_ns
-        self.dispatch_ticks += 1
         return self._now
 
     def api_tick(self) -> int:

@@ -54,8 +54,8 @@ class Scheduler:
         self.trace_row = f"kernel:{kspace.label}"
         # per-kind "kevent:<kind>" name cache for the traced path
         self._span_names: Dict[str, str] = {}
-        # cached metric handles, rebound when the capture's tracer changes
-        self._mh_tracer = None
+        # cached metric handles, bound on the first traced use (a
+        # simulator's tracer is fixed for its life)
         self._mh_registered: Dict[str, Any] = {}
         self._mh_cancelled: Dict[str, Any] = {}
         self._mh_confirmed = None
@@ -68,10 +68,7 @@ class Scheduler:
         return name
 
     def _bind_metrics(self, tracer) -> None:
-        """(Re)bind cached metric handles to ``tracer``'s registry."""
-        self._mh_tracer = tracer
-        self._mh_registered = {}
-        self._mh_cancelled = {}
+        """Bind cached metric handles to ``tracer``'s registry."""
         metrics = tracer.metrics
         self._mh_confirmed = metrics.counter("kernel.confirmed")
         self._mh_confirm_hist = metrics.histogram(
@@ -144,7 +141,7 @@ class Scheduler:
                     "ctx": sim.trace_context,
                 },
             )
-            if tracer is not self._mh_tracer:
+            if self._mh_confirmed is None:
                 self._bind_metrics(tracer)
             counter = self._mh_registered.get(kind)
             if counter is None:
@@ -231,7 +228,7 @@ class Scheduler:
                         "ctx": sim.trace_context,
                     },
                 )
-            if tracer is not self._mh_tracer:
+            if self._mh_confirmed is None:
                 self._bind_metrics(tracer)
             self._mh_confirmed.inc()
             self._mh_confirm_hist.record(latency)
@@ -290,7 +287,7 @@ class Scheduler:
                 cat="kernel-event",
                 args={"cancelled": case, "ctx": sim.trace_context},
             )
-        if tracer is not self._mh_tracer:
+        if self._mh_confirmed is None:
             self._bind_metrics(tracer)
         counter = self._mh_cancelled.get(case)
         if counter is None:

@@ -27,8 +27,8 @@ from . import comm
 from .interface import KernelInterface
 from .space import KernelSpace
 
-#: Sanitised message used when policies strip error details.
-SANITIZED_ERROR = "Script error."
+#: The native ``Worker`` lifecycle state for each kernel thread status.
+NATIVE_STATE = {"started": "spawning", "ready": "running", "closed": "terminated"}
 
 
 class KernelThread:
@@ -87,8 +87,9 @@ class KernelWorkerStub(Interposable):
 
     @property
     def state(self) -> str:
-        """Kernel thread status (user-visible convenience)."""
-        return self._kthread.status
+        """The native handle's lifecycle state
+        (``spawning``/``running``/``terminated``) for this kernel thread."""
+        return NATIVE_STATE[self._kthread.status]
 
 
 class ThreadManager:
@@ -234,7 +235,8 @@ class ThreadManager:
         except Exception as exc:
             self._deliver_error(kthread, str(exc), cross_origin=True)
             return
-        kthread.status = "ready"
+        if kthread.alive:  # the user thread may have called close()
+            kthread.status = "ready"
 
     def _install_worker_fetch(self, kthread, kspace_w, interface: KernelInterface, ws) -> None:
         natives = kspace_w.natives

@@ -8,7 +8,6 @@ from .browser import Browser
 from .clock import (
     ClockPolicy,
     FuzzyClockPolicy,
-    NoisyQuantizedClockPolicy,
     PerformanceClock,
     QuantizedClockPolicy,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "FuzzyClockPolicy",
     "MS",
     "MessageEvent",
-    "NoisyQuantizedClockPolicy",
     "Origin",
     "Page",
     "PerformanceClock",

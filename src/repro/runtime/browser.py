@@ -143,8 +143,3 @@ class Browser:
     ) -> None:
         """Advance until ``predicate()`` holds (see :meth:`Simulator.run_until`)."""
         self.sim.run_until(predicate, max_events=max_events)
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self.sim.now

@@ -112,21 +112,6 @@ class DeterministicClockPolicy(ClockPolicy):
         return self.reads * self.quantum_ns
 
 
-class NoisyQuantizedClockPolicy(ClockPolicy):
-    """Chrome-Zero-style clock: coarse grid plus additive random noise."""
-
-    name = "noisy"
-
-    def __init__(self, resolution_ns: int, noise_ns: int, rng: random.Random):
-        self.resolution_ns = resolution_ns
-        self.noise_ns = noise_ns
-        self.rng = rng
-
-    def report(self, true_ns: int) -> int:
-        noise = self.rng.randint(0, self.noise_ns) if self.noise_ns > 0 else 0
-        return quantize(true_ns + noise, self.resolution_ns)
-
-
 class PerformanceClock:
     """The object behind ``performance`` in a scope.
 
@@ -144,11 +129,6 @@ class PerformanceClock:
         """``performance.now()``: float milliseconds since the time origin."""
         self.sim.consume(CLOCK_CALL_COST)
         return to_ms(self.policy.report(self.sim.now - self.origin))
-
-    def now_ns(self) -> int:
-        """Policy-transformed time in ns (internal consumers, no rounding)."""
-        self.sim.consume(CLOCK_CALL_COST)
-        return self.policy.report(self.sim.now - self.origin)
 
     @property
     def time_origin(self) -> float:

@@ -224,7 +224,6 @@ class Document:
         self.resource_loader: Optional[Callable[[Element], None]] = None
         #: onload handler for the document itself (page load event).
         self.onload: Optional[Callable[[], None]] = None
-        self.load_fired = False
 
     # ------------------------------------------------------------------
     def create_element(self, tag: str) -> Element:

@@ -72,9 +72,8 @@ class EventLoop:
         # the wakeup label is per-loop constant: building it per _arm()
         # would allocate a string for every posted task
         self._wake_label = f"{name}:wake"
-        # cached metric handles, rebound when the capture's tracer changes
-        # (Tracer.attach can swap sim.tracer after construction)
-        self._mh_tracer = None
+        # cached metric handles, bound on the first traced task (a
+        # simulator's tracer is fixed for its life)
         self._mh_task_counters: dict = {}
         self._mh_delay_hist = None
         self._mh_micro_counter = None
@@ -86,7 +85,6 @@ class EventLoop:
         """Enqueue a macrotask; it runs no earlier than ``task.ready_time``."""
         if self.stopped:
             return task  # terminated workers silently drop new work
-        task.enqueue_time = self.sim.now
         perturber = self.sim.perturber
         if perturber is not None:
             # schedule-space exploration hook: a perturbation may delay a
@@ -209,9 +207,7 @@ class EventLoop:
         self._arm()
 
     def _bind_metrics(self, tracer) -> None:
-        """(Re)bind cached metric handles to ``tracer``'s registry."""
-        self._mh_tracer = tracer
-        self._mh_task_counters = {}
+        """Bind cached metric handles to ``tracer``'s registry."""
         metrics = tracer.metrics
         self._mh_delay_hist = metrics.histogram(
             f"eventloop.queue_delay_ns.{self.name}", QUEUE_DELAY_BUCKETS_NS
@@ -256,7 +252,7 @@ class EventLoop:
                 cat="task",
                 args={"source": source.value, "queue_delay_ns": queue_delay},
             )
-            if tracer is not self._mh_tracer:
+            if self._mh_delay_hist is None:
                 self._bind_metrics(tracer)
             counter = self._mh_task_counters.get(source)
             if counter is None:
@@ -299,6 +295,6 @@ class EventLoop:
                     cat="task",
                     args={"count": drained},
                 )
-                if tracer is not self._mh_tracer:
+                if self._mh_micro_counter is None:
                     self._bind_metrics(tracer)
                 self._mh_micro_counter.inc(drained)

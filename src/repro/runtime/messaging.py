@@ -82,7 +82,6 @@ class MessageEndpoint:
         #: Handlers invoked, in order, for each delivered MessageEvent.
         self.handlers: List[Callable[[MessageEvent], None]] = []
         self.closed = False
-        self.messages_delivered = 0
         # per-channel constant: posting must not build a label per message
         self._post_label = ""
 
@@ -152,7 +151,6 @@ class MessageEndpoint:
         """Dispatch a delivered message to all registered handlers."""
         if self.closed:
             return
-        self.messages_delivered += 1
         sim = self.loop.sim
         tracer = sim.tracer
         if tracer.enabled:
@@ -176,10 +174,6 @@ class MessageEndpoint:
         """Unregister a handler (no-op if absent)."""
         if handler in self.handlers:
             self.handlers.remove(handler)
-
-    def clear_handlers(self) -> None:
-        """Drop all handlers (worker termination)."""
-        self.handlers.clear()
 
     def close(self) -> None:
         """Close the endpoint: undelivered and future messages are dropped."""

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import SimulationError
 from .eventloop import EventLoop
-from .origin import URL, Origin
+from .origin import URL
 from .simtime import MS, ms, us
 from .task import TaskSource
 
@@ -142,7 +142,6 @@ class SimNetwork:
         self.cache_latency_ns = cache_latency_ns
         self._resources: Dict[str, Resource] = {}
         self._cache: Dict[str, bool] = {}
-        self.requests_served = 0
         self.requests_dropped = 0
         #: Declarative fault windows (see :class:`NetworkFault`); fault
         #: plans append here via the browser interceptor hook.
@@ -209,7 +208,6 @@ class SimNetwork:
         use_cache: bool = True,
     ) -> NetworkRequest:
         """Issue a request; ``on_complete`` runs as a NETWORK task."""
-        self.requests_served += 1
         resource = self._resources.get(url.serialize())
         delay = self._completion_delay(url, resource, use_cache)
         from_cache = use_cache and self.is_cached(url) and resource is not None
@@ -294,8 +292,3 @@ class SimNetwork:
         if resource is not None:
             delay += self.transfer_time(resource.size_bytes) + resource.server_time_ns
         return delay
-
-
-def make_origin(host: str, scheme: str = "https") -> Origin:
-    """Shorthand for building origins in workloads and tests."""
-    return Origin(scheme, host)

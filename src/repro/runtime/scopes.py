@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from ..errors import SecurityError
 from .clock import DateClock, PerformanceClock
 from .eventloop import EventLoop
 from .interpose import Interposable
-from .messaging import MessageEndpoint, MessageEvent
+from .messaging import MessageEvent
 from .origin import URL, Origin
 from .timers import TimerRegistry
 
@@ -122,7 +121,6 @@ class WorkerScope(BaseScope):
 
     def __init__(self, loop: EventLoop, origin: Origin, base_url: URL):
         super().__init__(loop, origin, base_url)
-        self._parent_endpoint: Optional[MessageEndpoint] = None
         self.fetch: Optional[Callable] = None
         self.XMLHttpRequest: Optional[Callable] = None
         self.AbortController: Optional[Callable] = None
@@ -135,19 +133,8 @@ class WorkerScope(BaseScope):
         # the native onmessage trap: registers with the parent channel
         self.define_setter_trap("onmessage", self._native_set_onmessage)
 
-    def _attach_parent_channel(self, endpoint: MessageEndpoint) -> None:
-        """Wire the worker side of the parent channel (agent calls this)."""
-        self._parent_endpoint = endpoint
-        endpoint.add_handler(self._dispatch_message)
-        self.set_raw("postMessage", self._native_post_message)
-
     def _native_set_onmessage(self, handler: Optional[Callable]) -> None:
         self.set_raw("onmessage", handler)
-
-    def _native_post_message(self, data: Any, transfer: Optional[list] = None) -> None:
-        if self._parent_endpoint is None:
-            raise SecurityError("worker has no parent channel")
-        self._parent_endpoint.post(data, transfer=transfer, origin=self.origin.serialize())
 
     def _dispatch_message(self, event: MessageEvent) -> None:
         handler = getattr(self, "onmessage", None)

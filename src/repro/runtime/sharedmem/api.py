@@ -128,10 +128,6 @@ class SharedMemAPI:
         if policy is not None and policy.guards_gc:
             self.heap.gc_guard = policy.name
 
-    @property
-    def policy(self) -> Optional[AccessPolicy]:
-        return self.binding.policy
-
     def stats(self) -> dict:
         """Heap-level statistics (tests and telemetry)."""
         heap = self.heap

@@ -116,11 +116,6 @@ class AtomicCell:
         self.core = AtomicCounterCore(0)
         self._waiters: List[_Waiter] = []
 
-    @property
-    def obj_id(self) -> str:
-        """Run-deterministic trace identity."""
-        return self.cell.obj_id
-
     # ------------------------------------------------------------------
     # plain atomics
     # ------------------------------------------------------------------

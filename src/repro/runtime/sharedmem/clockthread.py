@@ -30,10 +30,6 @@ class CounterThreadClock:
         self.atom = AtomicCell(heap, label=label)
 
     @property
-    def obj_id(self) -> str:
-        return self.atom.obj_id
-
-    @property
     def cell(self):
         """The backing cell (lets the clock be stored in shared objects)."""
         return self.atom.cell

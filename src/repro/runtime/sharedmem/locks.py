@@ -45,7 +45,6 @@ class SharedLock:
         #: Owning thread name, or None.
         self.owner: Optional[str] = None
         self._waiters: List[Tuple[str, object, Optional[Callable[[], None]]]] = []
-        self.acquisitions = 0
 
     # ------------------------------------------------------------------
     def acquire(self, callback: Optional[Callable[[], None]] = None) -> bool:
@@ -126,12 +125,10 @@ class SharedLock:
 
     def _grant(self, thread: str) -> None:
         self.owner = thread
-        self.acquisitions += 1
         self.heap.note_acquired(thread, self)
         self.heap.sync_event("lock.acquired", self.trace_label)
 
     def _granted(self, thread: str, callback: Optional[Callable[[], None]]) -> None:
-        self.acquisitions += 1
         self.heap.sync_event("lock.acquired", self.trace_label)
         if callback is not None:
             callback()

@@ -35,11 +35,6 @@ class SharedObject:
         """Run-deterministic trace identity."""
         return self.cell.obj_id
 
-    @property
-    def freed(self) -> bool:
-        """True once the shared GC has swept this object."""
-        return self.cell.freed
-
     def _retain_value(self, value: Any) -> None:
         if isinstance(value, SharedObject):
             self.heap.retain(value.cell)

@@ -205,7 +205,7 @@ class Simulator:
         self.tracer = current_tracer()
         self.trace_pid = self.tracer.register_run() if self.tracer.enabled else 0
         #: The ambient schedule perturber (``None`` outside an exploration
-        #: run); consulted on every schedule() and notified per dispatch.
+        #: run); consulted on every schedule() and every posted task.
         self.perturber = current_perturber()
         #: Labels of the most recently dispatched events, newest last —
         #: context for runaway-loop errors.
@@ -333,8 +333,6 @@ class Simulator:
         self._dispatch_label = label
         self._dispatch_ordinal = n
         self._recent_labels.append(label)
-        if self.perturber is not None:
-            self.perturber.on_dispatch(label)
         call.fn()
 
     def step(self) -> bool:
@@ -376,7 +374,6 @@ class Simulator:
         heap = self._heap
         heappop = _heappop
         recent_append = self._recent_labels.append
-        perturber = self.perturber
         processed = 0
         while heap:
             # the bound is checked against the head entry, cancelled or not
@@ -396,8 +393,6 @@ class Simulator:
             self._dispatch_label = label
             self._dispatch_ordinal = n
             recent_append(label)
-            if perturber is not None:
-                perturber.on_dispatch(label)
             call.fn()
             processed += 1
             if processed > limit:

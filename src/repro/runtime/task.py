@@ -52,7 +52,6 @@ class Task:
         "cost",
         "label",
         "cancelled",
-        "enqueue_time",
     )
 
     def __init__(
@@ -63,7 +62,6 @@ class Task:
         ready_time: int = 0,
         cost: int = 0,
         label: str = "",
-        enqueue_time: int = 0,
     ):
         self.callback = callback
         self.args = args
@@ -72,7 +70,6 @@ class Task:
         self.cost = cost
         self.label = label or getattr(callback, "__name__", "task")
         self.cancelled = False
-        self.enqueue_time = enqueue_time
 
     def cancel(self) -> None:
         """Mark the task as not-to-run (idempotent)."""

@@ -48,13 +48,8 @@ class CrossOriginScriptError(Exception):
 class NativeWorkerInternals:
     """The browser-internal worker object (ports, wrapper state)."""
 
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
+    def __init__(self):
         self.port_open = True
-
-    def close_port(self) -> None:
-        """Tear down the native message port."""
-        self.port_open = False
 
 
 class WorkerHandle(Interposable):
@@ -116,7 +111,7 @@ class WorkerAgent:
             host.sim, self.name, task_dispatch_cost=profile.task_dispatch_cost
         )
         self.native_ptr: NativePtr = host.heap.alloc(
-            NativeWorkerInternals(self.id), "WorkerInternals"
+            NativeWorkerInternals(), "WorkerInternals"
         )
 
         # channel: parent-side endpoint lives on the parent loop
@@ -135,12 +130,10 @@ class WorkerAgent:
             self.script_body = None
 
         self.scope = WorkerScope(self.loop, self.script_url.origin, self.script_url)
-        self.scope._attach_parent_channel(self.worker_endpoint)
         # the worker's message port is held until the initial script has
         # been evaluated (HTML semantics): buffer early deliveries
         self._script_evaluated = False
         self._held_messages: List[MessageEvent] = []
-        self.worker_endpoint.remove_handler(self.scope._dispatch_message)
         self.worker_endpoint.add_handler(self._deliver_to_worker)
         self._wire_scope_services()
 

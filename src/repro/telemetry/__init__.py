@@ -22,7 +22,6 @@ from .spans import (
     RUNLOG_ENV,
     SpanRecorder,
     current_recorder,
-    point,
     set_recorder,
     span,
     worker_recorder,
@@ -41,7 +40,6 @@ __all__ = [
     "current_run",
     "format_duration",
     "format_ns",
-    "point",
     "render_summary",
     "set_recorder",
     "span",

@@ -37,7 +37,6 @@ __all__ = [
     "RUNLOG_ENV",
     "SpanRecorder",
     "current_recorder",
-    "point",
     "set_recorder",
     "span",
     "worker_recorder",
@@ -174,10 +173,3 @@ def span(name: str, **attrs: Any):
         return
     with recorder.span(name, **attrs) as span_id:
         yield span_id
-
-
-def point(name: str, **attrs: Any) -> None:
-    """Instant-event counterpart of :func:`span` (no-op without recorder)."""
-    recorder = _active
-    if recorder is not None:
-        recorder.point(name, **attrs)

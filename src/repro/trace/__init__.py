@@ -18,9 +18,9 @@ Usage::
     print(tracer.metrics.format())
 
 Simulators created inside :func:`capture` pick the tracer up on
-construction; an existing browser can be adopted with
-``tracer.attach(browser.sim)``.  Outside a capture every simulator shares
-the disabled :data:`NULL_TRACER`, whose cost at each instrumentation site
+construction and keep it for life, so build the browser inside the
+block to trace it.  Outside a capture every simulator shares the
+disabled :data:`NULL_TRACER`, whose cost at each instrumentation site
 is one attribute load and one branch.
 """
 

@@ -56,10 +56,6 @@ class Gauge:
         """Replace the gauge value."""
         self.value = value
 
-    def add(self, delta: float) -> None:
-        """Shift the gauge by ``delta`` (either sign)."""
-        self.value += delta
-
 
 class Histogram:
     """Fixed-bucket histogram.

@@ -81,16 +81,6 @@ class Tracer:
         self.runs[pid] = label or f"run-{pid}"
         return pid
 
-    def attach(self, sim) -> None:
-        """Adopt an already-built simulator (and its browser) into this
-        capture.
-
-        Simulators created inside :func:`capture` attach automatically;
-        this is for tracing a browser that was constructed earlier.
-        """
-        sim.tracer = self
-        sim.trace_pid = self.register_run() if self.enabled else 0
-
     def next_span_id(self) -> int:
         """Allocate a tracer-local id for an async (b/n/e) span."""
         span_id = self._next_span_id

@@ -5,7 +5,6 @@ from .alexa import (
     alexa_population,
     figure3_series,
     measure_load_time_ms,
-    measure_population,
 )
 from .codepen import (
     CODEPEN_APPS,
@@ -70,7 +69,6 @@ __all__ = [
     "loopscan_target",
     "measure_hero_time_ms",
     "measure_load_time_ms",
-    "measure_population",
     "measure_worker_creation_ms",
     "observable_difference",
     "overhead_report",

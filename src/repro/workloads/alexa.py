@@ -83,16 +83,6 @@ def measure_site_average(
     return sum(times) / len(times)
 
 
-def measure_population(
-    config: str,
-    sites: List[SiteDescription],
-    visits: int = 3,
-    seed: int = 0,
-) -> List[float]:
-    """Average load time per site over ``visits`` (the Figure 3 series)."""
-    return [measure_site_average(config, site, visits, seed) for site in sites]
-
-
 def figure3_series(
     site_count: int = 500,
     visits: int = 3,

@@ -38,6 +38,13 @@ def kernel_page(kernel_browser):
     return kernel_browser.open_page("https://app.example/")
 
 
+@pytest.fixture(params=["browser", "kernel_browser"])
+def either_browser(request):
+    """The plain browser, then the JSKernel one: a kernel wrapper must
+    behave like the native API it replaces."""
+    return request.getfixturevalue(request.param)
+
+
 def run_script_and_drain(browser, page, script, until_ms=2_000):
     """Helper: queue a script and run the simulation for a while."""
     page.run_script(script)

@@ -19,6 +19,11 @@ from repro.analysis.hbgraph import build_hb_graph
 from repro.analysis.races import analyze_scenario, detect_races
 from repro.analysis.scenario import run_traced_scenario
 from repro.harness import run_table1
+from repro.kernel import JSKernel
+from repro.runtime import Browser, chrome
+from repro.runtime.origin import parse_url
+from repro.runtime.simtime import ms
+from repro.trace import Tracer, capture
 
 AUDIT_SEEDS = (0, 1, 2)
 
@@ -78,6 +83,49 @@ def test_kernel_span_legs_chain_by_span_id():
     ]
     graph = build_hb_graph(events)
     assert graph.happens_before(0, 1)
+
+
+def test_a_promise_settled_off_its_thread_orders_its_reaction():
+    """The "promise flows" edge kind on a real run: a jskernel worker
+    awaits a fetch whose abort signal the main thread fires, so the
+    fetch promise settles on the main thread and reacts in the worker."""
+    shared = {}
+    seen = []
+    with capture(Tracer()) as tracer:
+        browser = Browser(profile=chrome(), seed=1)
+        JSKernel().install(browser)
+        page = browser.open_page("https://app.example/")
+        browser.network.host_simple(parse_url("https://app.example/f"), 64_000)
+
+        def script(scope):
+            def worker_main(ws):
+                shared["controller"] = controller = ws.AbortController()
+                ws.fetch("/f", {"signal": controller.signal}).then(
+                    lambda _r: ws.postMessage("fetched"),
+                    lambda _e: ws.postMessage("aborted"),
+                )
+                ws.postMessage("started")
+
+            def on_message(event):
+                seen.append(event.data)
+                if event.data == "started":
+                    scope.setTimeout(lambda: shared["controller"].abort(), 1)
+
+            worker = scope.Worker(worker_main)
+            worker.onmessage = on_message
+
+        page.run_script(script)
+        browser.run(until=ms(500))
+        browser.close()
+    assert seen == ["started", "aborted"]
+
+    graph = build_hb_graph(tracer.events)
+    (settle,) = [e for e in graph.events if e.name == "promise.settle"]
+    (reaction,) = [e for e in graph.events if e.name == "promise.reaction"]
+    assert settle.thread.startswith("main:") and reaction.thread.startswith("worker-")
+    assert settle.args["flow"] == reaction.args["flow"] != 0
+    assert settle.index in reaction.preds  # the flow edge itself
+    assert graph.happens_before(settle.index, reaction.index)
 
 
 # ----------------------------------------------------------------------

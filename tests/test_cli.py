@@ -1,7 +1,9 @@
 """The CLI boundary: every command's flags are declared once, in argparse.
 
-Two properties:
+Three properties:
 
+* every command runs end to end from its smallest argv and prints its
+  known output;
 * bad input — a missing value, a bad type or name, a value out of
   range, an unknown flag — exits 2 and prints the failing command's own
   usage line on stderr, before any experiment runs;
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import COMMANDS, build_parser, main
+from repro.runtime.simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
@@ -75,6 +78,8 @@ BAD_INPUT = {
         "bad strategy": ["--strategy", "random"],
         "bad name": ["--vs", "nope"],
         "unknown flag": ["--bogus"],
+        "missing witness": ["--replay", str(ROOT / "no-such-witness.json")],
+        "not a witness": ["--replay", str(ROOT / "tests/golden/cube_expected.json")],
     },
     "cube": {
         "missing value": ["--out"],
@@ -98,8 +103,49 @@ BAD_INPUT = {
 }
 
 
+#: command -> {case: (argv after the command, lines its output must
+#: contain)}: the smallest end-to-end run of every command, in process.
+RUN = {
+    "matrix": {"slice": (["--no-cache"], ["agreement with the paper: 100.00%"])},
+    "table2": {"runs": (["--no-cache"], ["jskernel        10.00    10.00     1.00"])},
+    "figure2": {"sweep": (["--no-cache"], ["  jskernel: (2, 25.00), (6, 25.00), (10, 25.00)"])},
+    "dromaeo": {
+        "with metrics": (["--metrics"], ["average +3.84%  median +0.00%", "histograms:"]),
+    },
+    "compat": {"small": ([], ["DOM similarity >= 99%: 100% of sites"])},
+    "attacks": {"list": ([], ["sab-timer  (extension)"])},
+    "defenses": {"list": ([], ["jskernel-nocve"])},
+    "trace": {
+        "attack": (["attack", "cve-2018-5092"], ["wrote trace.json: 36 events across 1 runs"]),
+    },
+    "analyze": {
+        "determinism": (["determinism", "cache-attack"], ["divergence: 0 (deterministic)"]),
+    },
+    "fuzz": {
+        "one trial": (
+            ["--budget", "1", "--no-cache"],
+            ["1 trials of cve-2018-5092 vs legacy-chrome (seed 0, strategy mixed): 1 witnesses"],
+        ),
+    },
+    "cube": {
+        "one cell": (
+            ["--attacks", "clock-edge", "--defenses", "jskernel", "--no-cache"],
+            ["clock-edge    defended", "cells: 1 computed, 0 cached"],
+        ),
+    },
+    "population": {
+        "rank scan": (["--size", "200", "--no-cache"], ["Population sweep: 200 pages"]),
+        "sessions": (
+            ["--size", "200", "--sessions", "5", "--no-cache"],
+            ["Population sweep: 18 pages"],
+        ),
+    },
+}
+
+
 def test_the_table_covers_every_command():
     assert set(BAD_INPUT) == set(COMMANDS)
+    assert set(RUN) == set(COMMANDS)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +164,25 @@ def test_bad_input_exits_2_with_the_commands_own_usage(command, argv, capsys):
     assert captured.err.startswith(f"usage: python -m repro {command} ")
     assert f"python -m repro {command}: error: " in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,argv,lines",
+    [
+        pytest.param(command, argv, lines, id=f"{command}-{case}")
+        for command, cases in RUN.items()
+        for case, (argv, lines) in cases.items()
+    ],
+)
+def test_every_command_runs_end_to_end(command, argv, lines, tmp_path, monkeypatch, capsys):
+    # default output paths (trace.json, witnesses/) land in tmp_path;
+    # fuzz overwrites $REPRO_MAX_EVENTS, and monkeypatch restores it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(MAX_EVENTS_ENV, str(DEFAULT_MAX_EVENTS))
+    assert main([command] + argv) == 0
+    out = capsys.readouterr().out
+    for line in lines:
+        assert line in out
 
 
 # ----------------------------------------------------------------------

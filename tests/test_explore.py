@@ -107,8 +107,13 @@ def test_targeted_rules_sum_and_spec_roundtrip():
     assert p.perturb(sim, 0, "net:/x") == ms(3)
     assert p.perturb(sim, 0, "net:/y") == ms(1)
     assert p.perturb(sim, 0, "timer:cb") == 0
-    rebuilt = make_perturber(p.spec())
-    assert rebuilt.spec() == p.spec()
+    # witnesses carry the spec dict; make_perturber rebuilds the strategy
+    rebuilt = make_perturber({"strategy": "targeted", "rules": rules})
+    assert isinstance(rebuilt, TargetedPerturber)
+    assert rebuilt.rules == p.rules
+    assert [rebuilt.perturb(sim, 0, label) for label in ("net:/x", "net:/y", "timer:cb")] == [
+        ms(3), ms(1), 0,
+    ]
 
 
 def test_make_perturber_none_and_unknown():

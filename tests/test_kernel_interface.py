@@ -251,3 +251,45 @@ def test_kernel_shared_buffer_paced_to_grid(kernel_browser, kernel_page):
     run(kernel_browser)
     # two loads paced to consecutive 1ms slots
     assert seen["real_elapsed"] >= ms(1)
+
+
+def test_video_pause_freezes_current_time_like_native(either_browser):
+    page = either_browser.open_page("https://app.example/")
+    seen = {}
+
+    def script(scope):
+        video = scope.createVideo(60_000.0)
+        video.pause()  # pausing a paused video is a no-op
+        video.play()
+
+        def pause_later():
+            seen["played"] = video.current_time
+            video.pause()
+            seen["paused"] = video.current_time
+            scope.setTimeout(lambda: seen.__setitem__("later", video.current_time), 100)
+
+        scope.setTimeout(pause_later, 100)
+
+    page.run_script(script)
+    run(either_browser, until_ms=400)
+    assert seen["played"] > 0.09  # seconds: playback ran ~100 ms
+    assert seen["later"] == seen["paused"] >= seen["played"]
+
+
+def test_shared_buffer_increment_activity_like_native(either_browser):
+    page = either_browser.open_page("https://app.example/")
+    seen = {}
+
+    def script(scope):
+        sab = scope.SharedArrayBuffer(8)
+        sab.start_increment_activity(1000.0)
+        scope.busy_work(5.0)
+        sab.stop_increment_activity()
+        first = sab.load()
+        scope.busy_work(5.0)
+        seen["loads"] = (first, sab.load())
+
+    page.run_script(script)
+    run(either_browser)
+    # 5 ms at 1000 increments/ms, then frozen
+    assert seen["loads"] == (5000, 5000)

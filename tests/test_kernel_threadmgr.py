@@ -234,3 +234,59 @@ def test_user_thread_source_travels_via_kernel_message(kernel_browser, kernel_pa
     kernel_browser.run(until=ms(100))
     assert order == ["user-thread-ran"]
     assert kernel_page.jskernel.threads[0].worker_kspace is not None
+
+
+def test_stub_state_follows_the_native_lifecycle(either_browser):
+    page = either_browser.open_page("https://app.example/")
+    box, states = {}, []
+
+    def script(scope):
+        box["worker"] = worker = scope.Worker(lambda ws: None)
+        states.append(worker.state)
+
+    page.run_script(script)
+    either_browser.run(until=ms(100))
+    states.append(box["worker"].state)
+    box["worker"].terminate()
+    states.append(box["worker"].state)
+    assert states == ["spawning", "running", "terminated"]
+
+
+def test_worker_close_stops_the_worker_like_native(either_browser):
+    """``close()`` inside the initial script: nothing posted afterwards
+    arrives, the worker ignores later messages, and the thread stays
+    closed once the script returns."""
+    page = either_browser.open_page("https://app.example/")
+    box, seen = {}, []
+
+    def script(scope):
+        def worker_main(ws):
+            ws.onmessage = lambda event: ws.postMessage("echo")
+            ws.close()
+            ws.postMessage("after close")
+
+        box["worker"] = worker = scope.Worker(worker_main)
+        worker.onmessage = lambda event: seen.append(event.data)
+        scope.setTimeout(lambda: worker.postMessage("ping"), 50)
+
+    page.run_script(script)
+    either_browser.run(until=ms(200))
+    assert seen == []
+    assert box["worker"].state == "terminated"
+
+
+def test_a_crashed_kernel_worker_reaches_the_stub_onerror(kernel_browser, kernel_page):
+    """The native kernel worker dying (a fault-injected crash) surfaces as
+    one policy-filtered error event on the user stub."""
+    seen = []
+
+    def script(scope):
+        worker = scope.Worker(lambda ws: ws.setTimeout(lambda: None, 50))
+        worker.onerror = lambda event: seen.append(event.message)
+
+    kernel_page.run_script(script)
+    kernel_browser.run(until=ms(20))
+    (agent,) = kernel_browser.workers
+    agent.crash("worker process died")
+    kernel_browser.run(until=ms(100))
+    assert seen == ["Script error."]

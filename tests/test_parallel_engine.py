@@ -7,6 +7,7 @@ poisoned cell reports per-cell instead of killing the pool.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,14 +115,33 @@ def test_cache_invalidated_by_code_fingerprint_change(tmp_path, monkeypatch):
 
 
 def test_corrupt_cache_entry_is_a_miss_not_a_crash(tmp_path):
-    cache = ResultCache(tmp_path)
-    run_table1(attacks=ATTACKS[:1], defenses=DEFENSES[:1], cache=cache)
-    for path in tmp_path.rglob("*.json"):
-        path.write_text("{not json")
-    reread = ResultCache(tmp_path)
-    result = run_table1(attacks=ATTACKS[:1], defenses=DEFENSES[:1], cache=reread)
-    assert result.computed_cells == 1 and result.cached_cells == 0
-    assert reread.misses == 1
+    """A truncated entry and a non-dict entry are each a miss: the cell is
+    recomputed and re-stored, serially and through the pool alike."""
+    cells = [
+        Cell("table1", {"attack": attack, "defense": defense, "seed": 0})
+        for attack in ATTACKS
+        for defense in DEFENSES
+    ]
+    cold = ExperimentEngine(cache=ResultCache(tmp_path / "cold")).run(cells)
+    expected = [json.dumps(r.payload, sort_keys=True) for r in cold]
+    for workers in (0, 2):
+        root = tmp_path / f"workers-{workers}"
+        ExperimentEngine(cache=ResultCache(root)).run(cells)
+        cache = ResultCache(root)
+        truncated, emptied = (Path(cache.path(cache.key(c.kind, c.params))) for c in cells[:2])
+        truncated.write_text(truncated.read_text()[: truncated.stat().st_size // 2])
+        emptied.write_text("[]")
+
+        engine = ExperimentEngine(workers=workers, cache=cache)
+        warm = engine.run(cells)
+        assert [r.cached for r in warm] == [False, False, True, True]
+        assert (engine.computed, engine.cache_hits) == (2, 2)
+        assert (cache.misses, cache.hits, cache.stores) == (2, 2, 2)
+        assert [json.dumps(r.payload, sort_keys=True) for r in warm] == expected
+        # both bad entries now hold the recomputed payload
+        for path, payload in zip((truncated, emptied), expected):
+            stored = json.loads(path.read_text())["payload"]
+            assert json.dumps(stored, sort_keys=True) == payload
 
 
 def test_audit_shards_are_cached_and_byte_identical(tmp_path):
