@@ -7,15 +7,19 @@ unknown flag or name) exits 2 with that command's usage line.
 
 Every command accepts ``--metrics``: the run is captured under a tracer
 and a metrics summary (task counts, queueing-delay and kernel latency
-histograms) is printed afterwards.
+quantiles) is printed afterwards.
 
 The six experiment commands (matrix, table2, figure2, fuzz, cube,
 population) also take the engine flags (``--parallel N``, ``--no-cache``,
 ``--cache-dir D``; see ``repro.harness.parallel``) and the telemetry
 flags (``--live``, ``--telemetry-out F``, ``--runlog F``; see
-``repro.telemetry``).  Telemetry runs record quantile sketches alongside
-the exact histograms; the sketch mode is a cube cell parameter, so
-telemetry and exact-mode results cache separately.
+``repro.telemetry``).  Observing a run never changes what it computes:
+with or without ``--metrics`` or a telemetry flag, every cell's payload
+and cache key are the same.
+
+A path flag that names a file to write (``--out FILE``,
+``--telemetry-out F``, ``--runlog F``) must name an existing directory,
+so a typo fails at parse time instead of after the run.
 """
 
 from __future__ import annotations
@@ -75,6 +79,14 @@ def _int(low: Optional[int] = None) -> Callable[[str], int]:
         return value
 
     return parse
+
+
+def _writable(text: str) -> str:
+    """A file path to write, in a directory that exists."""
+    parent = os.path.dirname(text)
+    if parent and not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory {parent!r} for {text!r}")
+    return text
 
 
 def _seeds(text: str) -> Tuple[int, ...]:
@@ -151,7 +163,8 @@ def _write_json(payload: str, out: str) -> None:
 
 
 _JSON = _arg("--json", action="store_true", help="print the JSON report")
-_OUT = _arg("--out", default="", metavar="FILE", help="write the JSON report to FILE")
+_OUT = _arg("--out", type=_writable, default="", metavar="FILE",
+            help="write the JSON report to FILE")
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +250,7 @@ def _cmd_defenses(_args) -> None:
     "trace", "capture a Chrome trace of a scenario",
     _arg("target", **_choice("trace target", ("matrix", "table2", "dromaeo", "attack"))),
     _arg("name", nargs="?", type=_attack, help="the attack to trace (target 'attack')"),
-    _arg("--out", default="trace.json", metavar="FILE", help="trace JSON path"),
+    _arg("--out", type=_writable, default="trace.json", metavar="FILE", help="trace JSON path"),
     _arg("--timeline", action="store_true", help="also print a text timeline"),
     _arg("--defense", type=_defense, default="jskernel", metavar="NAME",
          help="defense for 'attack'"),
@@ -503,17 +516,17 @@ def _cmd_fuzz(args) -> None:
     experiment=True,
 )
 def _cmd_cube(args) -> None:
-    """Defense x attack cube: verdicts + per-cell overhead CDFs.
+    """Defense x attack cube: verdicts + per-cell overhead quantiles.
 
     Every cell runs under a private tracer, so alongside the Table I
-    style verdict each cell carries an overhead profile (event-loop
-    queue-delay CDF, kernel stage latencies, task counts).  Cells where
-    the JSKernel/DetBrowser pair disagree, by verdict or by overhead
-    shape, are reported as divergent cells.
+    style verdict each cell carries an overhead profile (count, mean and
+    p50/p95/p99 of the event-loop queue delay and kernel stage
+    latencies, task counts).  Cells where the JSKernel/DetBrowser pair
+    disagree, by verdict or by overhead shape, are reported as divergent
+    cells.
     """
     from .defenses import CUBE_DEFENSES
     from .harness import run_cube
-    from .telemetry import current_run
 
     result = run_cube(
         attacks=args.attacks or (None if args.full else CUBE_ATTACKS),
@@ -521,9 +534,6 @@ def _cmd_cube(args) -> None:
         seed=args.seed,
         parallel=args.parallel,
         cache=_cache(args),
-        # telemetry runs carry sketch-derived percentiles per cell; the
-        # flag is a cell parameter, so the two modes cache separately
-        sketches=current_run() is not None,
     )
     payload = json.dumps(result.to_json(), indent=2, sort_keys=True)
     if args.out:
@@ -626,9 +636,9 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     )
     telemetry = _flags(
         _arg("--live", action="store_true", help="repaint a stderr progress line"),
-        _arg("--telemetry-out", default="", metavar="F",
+        _arg("--telemetry-out", type=_writable, default="", metavar="F",
              help="write the merged telemetry report as JSON to F"),
-        _arg("--runlog", default="", metavar="F",
+        _arg("--runlog", type=_writable, default="", metavar="F",
              help="JSONL run log path (default RUN_<command>.jsonl)"),
     )
     commands = {}

@@ -10,7 +10,7 @@ their full triggering sequence.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..attacks.base import TimingAttack
 from ..attacks.registry import create as create_attack
@@ -23,7 +23,6 @@ def run_traced_scenario(
     attack_name: str,
     defense_name: str,
     seed: int = 0,
-    tracer: Optional[Tracer] = None,
 ) -> Tuple[Tracer, str]:
     """Run ``attack_name`` against ``defense_name`` once, traced.
 
@@ -31,15 +30,9 @@ def run_traced_scenario(
     scenario ended (``"completed"``, ``"leak obtained"``, ``"crash: ..."``
     — CVE attacks absorb their crash internally and report it in the
     result detail).
-
-    ``tracer`` lets a caller supply a pre-configured capture (e.g. one
-    with sketch recording enabled — see
-    :func:`repro.explore.oracles.traced_run`); by default a fresh
-    enabled tracer is created, the historical behaviour.
     """
     attack = create_attack(attack_name)
-    if tracer is None:
-        tracer = Tracer(enabled=True)
+    tracer = Tracer(enabled=True)
     with capture(tracer):
         try:
             if isinstance(attack, TimingAttack):

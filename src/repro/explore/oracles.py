@@ -48,7 +48,7 @@ from ..analysis.races import analyze_races
 from ..analysis.scenario import run_traced_scenario
 from ..harness.audit import DETERMINISTIC_DEFENSES
 from ..runtime.simulator import perturbation
-from ..trace import Tracer, current_tracer
+from ..trace import current_tracer
 from .faults import FaultPlan
 from .perturb import make_perturber
 
@@ -75,8 +75,7 @@ def traced_run(
     :func:`~repro.analysis.scenario.run_traced_scenario`.
 
     When an enabled tracer capture is ambient (an engine ``--metrics``
-    or telemetry run), the trial's private metrics snapshot — including
-    quantile sketches when the ambient registry records them — is folded
+    or telemetry run), the trial's private metrics snapshot is folded
     back into it, so fuzz campaigns contribute their event-loop and
     kernel metrics to the merged run telemetry.  The fold happens here,
     on every trial, rather than inside :func:`run_traced_scenario`:
@@ -86,18 +85,15 @@ def traced_run(
     """
     perturber = make_perturber(perturb_spec)
     plan = FaultPlan.from_dict(fault_spec)
-    ambient = current_tracer()
-    tracer = Tracer(enabled=True)
-    if ambient.enabled:
-        tracer.metrics.sketch_observations = ambient.metrics.sketch_observations
     with ExitStack() as stack:
         stack.enter_context(plan.apply())
         if perturber is not None:
             stack.enter_context(perturbation(perturber))
-        result = run_traced_scenario(attack, defense, seed=seed, tracer=tracer)
+        tracer, outcome = run_traced_scenario(attack, defense, seed=seed)
+    ambient = current_tracer()
     if ambient.enabled:
         ambient.metrics.merge_snapshot(tracer.metrics.snapshot())
-    return result
+    return tracer, outcome
 
 
 def kernel_order_violations(events: List[dict]) -> int:

@@ -4,13 +4,13 @@ Table I answers "does the defense stop the attack?"; the cube adds the
 axis the paper never reports — what each defense *costs* while doing it,
 and where two defenses that both claim the threat model disagree.  Every
 ``(attack, defense)`` cell runs under a private tracer so the existing
-metrics registry yields a per-cell **overhead profile**: the merged
-event-loop queue-delay CDF, kernel stage latencies when a kernel is
-installed, and task counts.
+metrics registry yields a per-cell **overhead profile**: count, mean and
+p50/p95/p99 of the event-loop queue delay and, when a kernel is
+installed, of the kernel stage latencies, plus task counts.
 
 The headline comparison is JSKernel vs the DetBrowser backend
 (:data:`CUBE_PAIR`): both defend the timing rows, only JSKernel closes
-the CVE rows, and their overhead CDFs differ in shape — divergent cells
+the CVE rows, and their overhead profiles differ in shape — divergent cells
 are first-class results (:meth:`CubeResult.divergent_cells`) and are
 pinned by the committed fixture ``tests/golden/cube_expected.json``,
 which ``tests/test_cube.py`` reproduces cell for cell.
@@ -26,14 +26,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..attacks import attack_names
 from ..defenses import CUBE_DEFENSES
 from ..telemetry.spans import span
-from ..trace import Tracer, capture, current_tracer
+from ..trace import MetricsRegistry, Tracer, capture, current_tracer
 from .parallel import Cell, ExperimentEngine
 
 #: The head-to-head pair whose disagreements are the headline result.
 CUBE_PAIR: Tuple[str, str] = ("jskernel", "detbrowser")
 
-#: Overhead histogram families merged into per-cell CDFs, keyed by the
-#: metrics-registry name prefix they aggregate.
+#: Overhead histogram families merged into per-cell quantile summaries,
+#: keyed by the metrics-registry name prefix they aggregate.
 OVERHEAD_FAMILIES: Tuple[Tuple[str, str], ...] = (
     ("eventloop.queue_delay_ns.", "queue_delay"),
     ("kernel.confirm_latency_ns.", "kernel_confirm"),
@@ -45,77 +45,28 @@ OVERHEAD_FAMILIES: Tuple[Tuple[str, str], ...] = (
 OVERHEAD_DIVERGENCE_RATIO = 2.0
 
 
-def overhead_profile(snapshot: dict) -> dict:
-    """Distil a metrics snapshot into the cell's overhead profile.
+def overhead_profile(metrics: MetricsRegistry) -> dict:
+    """Distil a cell's metrics registry into its overhead profile.
 
-    Histograms of each family share bucket bounds (the registry
-    defaults), so merging is bucket-wise addition; each family becomes a
-    CDF over the bucket edges plus count/mean summaries.
-
-    When the snapshot carries quantile sketches (a telemetry run — see
-    :func:`run_cube_cell`'s ``sketches`` flag), each family additionally
-    gets sketch-derived ``p50_ns``/``p95_ns``/``p99_ns`` and the
-    serialized sketch itself, so campaign-level percentiles can be
-    merged from cell payloads without any raw sample list.  In the
-    default exact mode the output is unchanged — the committed golden
-    cube fixtures stay pinned.
+    Each family's histograms are merged by
+    :meth:`~repro.trace.metrics.MetricsRegistry.merged_sketch` into
+    ``count``, ``mean_ns`` (exact) and ``p50_ns``/``p95_ns``/``p99_ns``
+    (to the sketch's 0.5% value resolution), plus event-loop task and
+    kernel API call counts.
     """
-    from ..telemetry.sketch import QuantileSketch
-
     profile: dict = {}
-    histograms = snapshot.get("histograms", {})
-    sketches = snapshot.get("sketches", {})
     for prefix, key in OVERHEAD_FAMILIES:
-        merged: Optional[dict] = None
-        for name in sorted(histograms):
-            if not name.startswith(prefix):
-                continue
-            data = histograms[name]
-            if merged is None:
-                merged = {
-                    "bounds": list(data["bounds"]),
-                    "counts": list(data["counts"]),
-                    "sum": data["sum"],
-                    "count": data["count"],
-                }
-            else:
-                merged["counts"] = [
-                    have + more for have, more in zip(merged["counts"], data["counts"])
-                ]
-                merged["sum"] += data["sum"]
-                merged["count"] += data["count"]
-        if merged is None or merged["count"] == 0:
+        sketch = metrics.merged_sketch(prefix)
+        if sketch is None:
             continue
-        cumulative = 0
-        cdf = []
-        for edge, count in zip([*merged["bounds"], None], merged["counts"]):
-            cumulative += count
-            cdf.append(
-                {"le_ns": edge, "fraction": cumulative / merged["count"]}
-            )
         profile[key] = {
-            "count": merged["count"],
-            "mean_ns": merged["sum"] / merged["count"],
-            "cdf": cdf,
+            "count": sketch.count,
+            "mean_ns": sketch.mean,
+            "p50_ns": sketch.quantile(0.5),
+            "p95_ns": sketch.quantile(0.95),
+            "p99_ns": sketch.quantile(0.99),
         }
-        family_sketch: Optional[QuantileSketch] = None
-        for name in sorted(sketches):
-            if not name.startswith(prefix):
-                continue
-            data = sketches[name]
-            if data["count"] == 0:
-                continue
-            if family_sketch is None:
-                family_sketch = QuantileSketch(
-                    accuracy=data["accuracy"], max_centroids=data["max_centroids"]
-                )
-            family_sketch.merge(data)
-        if family_sketch is not None:
-            profile[key]["p50_ns"] = family_sketch.quantile(0.5)
-            profile[key]["p95_ns"] = family_sketch.quantile(0.95)
-            profile[key]["p99_ns"] = family_sketch.quantile(0.99)
-            profile[key]["sketch"] = family_sketch.to_dict()
-    counters = snapshot.get("counters", {})
+    counters = metrics.snapshot()["counters"]
     profile["tasks"] = sum(
         value for name, value in counters.items() if name.startswith("eventloop.tasks.")
     )
@@ -127,35 +78,26 @@ def overhead_profile(snapshot: dict) -> dict:
     return profile
 
 
-def run_cube_cell(attack: str, defense: str, seed: int = 0, sketches: bool = False) -> dict:
+def run_cube_cell(attack: str, defense: str, seed: int = 0) -> dict:
     """One cube cell: verdict + overhead profile under a private tracer.
 
-    ``sketches`` turns on quantile-sketch recording for the cell's
-    histograms (telemetry mode).  It is an explicit parameter — never
-    inferred from ambient state — so the payload stays a pure function
-    of the cell parameters and the result cache can key on it; the
-    default (exact mode) payload is byte-identical to pre-telemetry
-    runs, keeping golden fixtures and warm caches valid.
-
-    The cell's private metrics snapshot is folded into the ambient
-    tracer afterwards, so engine-level captures (``--metrics``,
-    telemetry runs) see the event-loop and kernel metrics the cell
-    produced.
+    The payload is a pure function of ``(attack, defense, seed)``.  The
+    cell's private metrics snapshot is folded into the ambient tracer
+    afterwards, so engine-level captures (``--metrics``, telemetry runs)
+    see the event-loop and kernel metrics the cell produced.
     """
     from ..attacks import create as create_attack
 
     tracer = Tracer(enabled=True)
-    tracer.metrics.sketch_observations = bool(sketches)
     with capture(tracer):
         result = create_attack(attack).run(defense, seed=seed)
-    snapshot = tracer.metrics.snapshot()
     ambient = current_tracer()
     if ambient.enabled:
-        ambient.metrics.merge_snapshot(snapshot)
+        ambient.metrics.merge_snapshot(tracer.metrics.snapshot())
     return {
         "defended": result.defended,
         "detail": result.detail,
-        "overhead": overhead_profile(snapshot),
+        "overhead": overhead_profile(tracer.metrics),
     }
 
 
@@ -183,9 +125,6 @@ class CubeResult:
         self.errors: List[str] = []
         self.computed_cells = 0
         self.cached_cells = 0
-        #: Campaign-wide queue-delay sketch (dict form), telemetry runs
-        #: only — merged from per-cell sketches, never raw samples.
-        self.queue_delay_sketch: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def divergent_cells(
@@ -282,13 +221,8 @@ class CubeResult:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        """JSON-ready dump (the ``--json`` payload and CI artifact).
-
-        The ``queue_delay`` campaign summary appears only on telemetry
-        (``sketches=True``) runs, so default payloads — and the golden
-        fixture built from them — are unchanged.
-        """
-        payload = {
+        """JSON-ready dump (the ``--json`` payload and CI artifact)."""
+        return {
             "attacks": self.attacks,
             "defenses": self.defenses,
             "seed": self.seed,
@@ -301,16 +235,6 @@ class CubeResult:
             "computed_cells": self.computed_cells,
             "cached_cells": self.cached_cells,
         }
-        if self.queue_delay_sketch is not None:
-            from ..telemetry.sketch import QuantileSketch
-
-            sketch = QuantileSketch.from_dict(self.queue_delay_sketch)
-            payload["queue_delay"] = {
-                "quantiles_ns": sketch.quantiles(),
-                "count": sketch.count,
-                "sketch": self.queue_delay_sketch,
-            }
-        return payload
 
 
 def run_cube(
@@ -320,7 +244,6 @@ def run_cube(
     parallel: Optional[int] = None,
     cache=None,
     pair: Tuple[str, str] = CUBE_PAIR,
-    sketches: bool = False,
 ) -> CubeResult:
     """Evaluate the defense × attack cube.
 
@@ -329,17 +252,11 @@ def run_cube(
     Each cell is a pure function of ``(attack, defense, seed)`` and runs
     on the sharded engine, so ``parallel``/``cache`` behave exactly as
     they do for :func:`~repro.harness.matrix.run_table1`.
-
-    ``sketches=True`` (telemetry mode) records per-cell quantile
-    sketches and aggregates a campaign-wide queue-delay sketch; the flag
-    becomes part of each cell's parameters **only when set**, so default
-    cells keep their pre-telemetry cache keys and golden payloads.
     """
     attacks = list(attacks or attack_names())
     defenses = list(defenses or CUBE_DEFENSES)
-    extra = {"sketches": True} if sketches else {}
     cells = [
-        Cell("cube", {"attack": attack, "defense": defense, "seed": seed, **extra})
+        Cell("cube", {"attack": attack, "defense": defense, "seed": seed})
         for attack in attacks
         for defense in defenses
     ]
@@ -367,24 +284,6 @@ def run_cube(
             outcome.errors.append(f"{attack} vs {defense}: {result.error}")
     outcome.computed_cells = engine.computed
     outcome.cached_cells = engine.cache_hits
-
-    if sketches:
-        from ..telemetry.sketch import QuantileSketch
-
-        campaign: Optional[QuantileSketch] = None
-        for result in results:
-            if not result.ok:
-                continue
-            data = result.payload["overhead"].get("queue_delay", {}).get("sketch")
-            if not data or data["count"] == 0:
-                continue
-            if campaign is None:
-                campaign = QuantileSketch(
-                    accuracy=data["accuracy"], max_centroids=data["max_centroids"]
-                )
-            campaign.merge(data)
-        if campaign is not None:
-            outcome.queue_delay_sketch = campaign.to_dict()
 
     tracer = current_tracer()
     if tracer.enabled:

@@ -200,11 +200,11 @@ def _run_fuzz_diff_cell(**params) -> dict:
 
 
 @cell_kind("cube")
-def _run_cube_cell(attack: str, defense: str, seed: int, sketches: bool = False) -> dict:
+def _run_cube_cell(attack: str, defense: str, seed: int) -> dict:
     """One defense × attack cube cell: verdict + overhead profile."""
     from ..harness.cube import run_cube_cell
 
-    return run_cube_cell(attack, defense, seed=seed, sketches=sketches)
+    return run_cube_cell(attack, defense, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +244,9 @@ def _run_chunk(
 
     When ``collect_metrics`` is set the chunk runs under a private
     tracer and the metrics snapshot rides back with the results.  When
-    ``collect_telemetry`` is set the tracer also records quantile
-    sketches, and the worker appends its shard lifecycle and per-cell
-    outcomes to the shared run log (the path rides in through
-    ``$REPRO_RUNLOG``).
+    ``collect_telemetry`` is set the worker also appends its shard
+    lifecycle and per-cell outcomes to the shared run log (the path
+    rides in through ``$REPRO_RUNLOG``).
     """
     specs, collect_metrics, collect_telemetry, shard = batch
     # worker_recorder() installs itself as the process-ambient recorder,
@@ -268,7 +267,6 @@ def _run_chunk(
     if not collect_metrics:
         return execute(), None
     tracer = Tracer(enabled=True)
-    tracer.metrics.sketch_observations = collect_telemetry
     if recorder is not None:
         with recorder.span("engine.shard", shard=shard, cells=len(specs)):
             with capture(tracer):
@@ -567,9 +565,9 @@ class ExperimentEngine:
 
         Without telemetry this is the historical serial path: the cell
         runs directly under the ambient tracer capture.  With telemetry
-        the cell runs under a private sketch-recording tracer whose
-        snapshot is folded into the telemetry metric set *and* the
-        ambient tracer — the same merge semantics as a pool worker, so
+        the cell runs under a private tracer whose snapshot is folded
+        into the telemetry metric set *and* the ambient tracer — the
+        same merge semantics as a pool worker, so
         serial and parallel telemetry snapshots are byte-identical
         (trace *events* are not collected in telemetry mode, matching
         the pool).
@@ -578,7 +576,6 @@ class ExperimentEngine:
         if telem is None:
             return _run_cell(spec)
         tracer = Tracer(enabled=True)
-        tracer.metrics.sketch_observations = True
         recorder = telem.recorder
         if recorder is not None:
             with recorder.span("engine.cell.run", kind=cell.kind):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..runtime.task import TaskSource
-from ..trace import LATENCY_BUCKETS_NS
 from .kobjects import CANCELLED, DISPATCHED, PENDING, KernelEvent
 
 #: Native cost charged per dispatched kernel event (queue + context prep).
@@ -173,8 +172,7 @@ class Dispatcher:
                 )
             if self._mh_latency_hist is None:
                 self._mh_latency_hist = tracer.metrics.histogram(
-                    f"kernel.dispatch_latency_ns.{self.kspace.label}",
-                    LATENCY_BUCKETS_NS,
+                    f"kernel.dispatch_latency_ns.{self.kspace.label}"
                 )
             counter = self._mh_dispatched.get(kind)
             if counter is None:
@@ -182,7 +180,7 @@ class Dispatcher:
                     f"kernel.dispatched.{kind}"
                 )
             counter.inc()
-            self._mh_latency_hist.record(dispatch_latency)
+            self._mh_latency_hist.add(dispatch_latency)
         if event.on_dispatch is not None:
             event.on_dispatch(event)
             return

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..trace import LATENCY_BUCKETS_NS
 from .kobjects import CANCELLED, DISPATCHED, PENDING, READY, KernelEvent, KernelEventQueue
 
 #: Minimum spacing enforced between consecutively assigned predictions.
@@ -72,7 +71,7 @@ class Scheduler:
         metrics = tracer.metrics
         self._mh_confirmed = metrics.counter("kernel.confirmed")
         self._mh_confirm_hist = metrics.histogram(
-            f"kernel.confirm_latency_ns.{self.kspace.label}", LATENCY_BUCKETS_NS
+            f"kernel.confirm_latency_ns.{self.kspace.label}"
         )
 
     # ------------------------------------------------------------------
@@ -231,7 +230,7 @@ class Scheduler:
             if self._mh_confirmed is None:
                 self._bind_metrics(tracer)
             self._mh_confirmed.inc()
-            self._mh_confirm_hist.record(latency)
+            self._mh_confirm_hist.add(latency)
         self.kspace.dispatcher.kick()
 
     def register_confirmed(

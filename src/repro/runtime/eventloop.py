@@ -37,7 +37,6 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..trace import QUEUE_DELAY_BUCKETS_NS
 from .simulator import ExecutionFrame, ScheduledCall, Simulator
 from .task import Microtask, Task, TaskSource
 
@@ -209,9 +208,7 @@ class EventLoop:
     def _bind_metrics(self, tracer) -> None:
         """Bind cached metric handles to ``tracer``'s registry."""
         metrics = tracer.metrics
-        self._mh_delay_hist = metrics.histogram(
-            f"eventloop.queue_delay_ns.{self.name}", QUEUE_DELAY_BUCKETS_NS
-        )
+        self._mh_delay_hist = metrics.histogram(f"eventloop.queue_delay_ns.{self.name}")
         self._mh_micro_counter = metrics.counter(f"eventloop.microtasks.{self.name}")
 
     def _run_task(self, task: Task) -> None:
@@ -260,7 +257,7 @@ class EventLoop:
                     f"eventloop.tasks.{source.value}"
                 )
             counter.inc()
-            self._mh_delay_hist.record(queue_delay)
+            self._mh_delay_hist.add(queue_delay)
         observers = self.task_observers
         if observers:
             for observer in list(observers):

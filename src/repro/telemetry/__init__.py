@@ -5,7 +5,8 @@ The deterministic tracer (:mod:`repro.trace`) observes virtual time
 
 * :mod:`repro.telemetry.sketch` — mergeable quantile sketch with
   exact, associative merge algebra (byte-identical snapshots across
-  ``--parallel`` worker counts for integer observations);
+  ``--parallel`` worker counts for integer observations); it is the
+  one distribution type, every metrics-registry histogram is one;
 * :mod:`repro.telemetry.spans` — wall-clock spans and the structured
   JSONL run log (``RUN_<cmd>.jsonl``);
 * :mod:`repro.telemetry.reporter` — the ``--live`` stderr progress line;

@@ -7,7 +7,7 @@ single status line as cells complete::
 q-delay p50 1.4us p95 52.0us  eta 0:02
 
 Throughput, cache hit-rate and ETA come from the run's own accounting;
-the running p50/p95 queue delay comes from the telemetry sketches
+the running p50/p95 queue delay comes from the queue-delay histograms
 merged so far — the same mergeable-sketch substrate the final snapshot
 uses, so the live numbers converge on the exported ones.  Rendering is
 throttled (default 5 Hz) and goes to **stderr**, so piping a command's

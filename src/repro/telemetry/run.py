@@ -8,8 +8,8 @@ A :class:`RunTelemetry` is installed ambiently by
   accounting and drives the live reporter;
 * every worker/cell metrics snapshot is folded into one
   :class:`~repro.trace.metrics.MetricsRegistry` **in shard order** — so
-  the merged counters, histograms and quantile sketches equal a serial
-  run's, byte-identically for a fixed seed regardless of the worker
+  the merged counters and histograms (quantile sketches) equal a
+  serial run's, byte-identically for a fixed seed regardless of the worker
   count, and the parent never holds more than one snapshot's centroids
   at a time (never a raw sample list);
 * cache traffic (hits / misses / stores) is mirrored from the
@@ -44,7 +44,7 @@ __all__ = [
 #: Format version of the exported snapshot/report documents.
 SNAPSHOT_VERSION = 1
 
-#: Metric-name prefix of the event-loop queue-delay sketches.
+#: Metric-name prefix of the event-loop queue-delay histograms.
 QUEUE_DELAY_PREFIX = "eventloop.queue_delay_ns."
 
 
@@ -150,7 +150,7 @@ class RunTelemetry:
     # reading
     # ------------------------------------------------------------------
     def queue_delay_quantiles(self) -> Dict[str, float]:
-        """Running p50/p95/p99 over every queue-delay sketch merged so far."""
+        """Running p50/p95/p99 over every queue-delay histogram merged so far."""
         merged = self.metrics.merged_sketch(QUEUE_DELAY_PREFIX)
         if merged is None:
             return {}

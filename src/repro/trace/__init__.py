@@ -26,23 +26,13 @@ is one attribute load and one branch.
 
 from .access import state_access
 from .export import chrome_trace, dump_chrome_trace, format_timeline, write_chrome_trace
-from .metrics import (
-    LATENCY_BUCKETS_NS,
-    QUEUE_DELAY_BUCKETS_NS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import Counter, Gauge, MetricsRegistry
 from .tracer import NULL_TRACER, Tracer, capture, current_tracer
 
 __all__ = [
-    "LATENCY_BUCKETS_NS",
     "NULL_TRACER",
-    "QUEUE_DELAY_BUCKETS_NS",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Tracer",
     "capture",

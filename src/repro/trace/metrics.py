@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges and fixed-bucket histograms.
+"""Metrics primitives: counters, gauges and histograms.
 
 Every value recorded here is derived from **virtual time** or virtual-time
 event counts, so a seeded scenario produces identical metrics on every
@@ -6,27 +6,21 @@ run.  The registry is deliberately plain: metric objects are created on
 demand by name, and :meth:`MetricsRegistry.snapshot` returns nothing but
 dicts, lists and numbers so harness reports can embed it directly in
 their result payloads (and ``json.dumps`` it without custom encoders).
+
+There is one distribution type: a histogram **is** a
+:class:`~repro.telemetry.sketch.QuantileSketch`.  It keeps exact count,
+sum, min and max, answers quantiles to 0.5% value resolution, and
+merges exactly (associative and commutative for integer observations),
+so a per-cell profile, a worker snapshot and a campaign-wide telemetry
+report all read the same state, whatever flags the run was started
+with.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..telemetry.sketch import QuantileSketch
-
-#: Default buckets for queueing-delay style histograms, in virtual ns
-#: (1 µs, 10 µs, 100 µs, 1 ms, 10 ms, 100 ms).
-QUEUE_DELAY_BUCKETS_NS: Tuple[int, ...] = (
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-)
-
-#: Default buckets for kernel-stage latencies (same decades).
-LATENCY_BUCKETS_NS: Tuple[int, ...] = QUEUE_DELAY_BUCKETS_NS
 
 
 class Counter:
@@ -57,71 +51,17 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Fixed-bucket histogram.
-
-    Bucket-edge convention: ``bounds`` are **inclusive upper edges**, so
-    bucket ``i`` counts values ``v`` with ``bounds[i-1] < v <= bounds[i]``
-    (the first bucket has no lower edge).  A value strictly larger than
-    the last bound lands in the **overflow bucket**: ``counts`` always has
-    ``len(bounds) + 1`` entries and ``counts[-1]`` is the overflow count.
-    Snapshots export that overflow count explicitly (the ``overflow``
-    key), matching Prometheus's ``+Inf`` bucket minus the last finite one.
-
-    A :class:`~repro.telemetry.sketch.QuantileSketch` can be attached as
-    ``sketch``; :meth:`record` then tees every observation into it, which
-    is how telemetry runs capture full-fidelity quantiles at existing
-    recording sites without a second instrumentation pass.
-    """
-
-    __slots__ = ("bounds", "counts", "total", "count", "min", "max", "sketch")
-
-    def __init__(self, bounds: Sequence[int]):
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must be sorted and non-empty: {bounds}")
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.count = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.sketch: Optional[QuantileSketch] = None
-
-    def record(self, value: float) -> None:
-        """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.total += value
-        self.count += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if self.sketch is not None:
-            self.sketch.add(value)
-
-
 class MetricsRegistry:
-    """Name-keyed store of counters, gauges, histograms and sketches.
+    """Name-keyed store of counters, gauges and histograms.
 
-    Setting :attr:`sketch_observations` **before** recording makes every
-    histogram tee its observations into an attached
-    :class:`~repro.telemetry.sketch.QuantileSketch`; the sketches then
-    ride along in :meth:`snapshot` (a ``"sketches"`` section, present
-    only when non-empty so non-telemetry snapshots are unchanged) and
-    fold through :meth:`merge_snapshot` like every other metric.
+    Every histogram is a :class:`~repro.telemetry.sketch.QuantileSketch`
+    recorded with :meth:`~repro.telemetry.sketch.QuantileSketch.add`.
     """
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._sketches: Dict[str, QuantileSketch] = {}
-        #: When true, histograms created (or first touched) afterwards
-        #: record into an attached quantile sketch as well.
-        self.sketch_observations = False
+        self._histograms: Dict[str, QuantileSketch] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -138,52 +78,28 @@ class MetricsRegistry:
             gauge = self._gauges[name] = Gauge()
         return gauge
 
-    def histogram(self, name: str, bounds: Sequence[int] = QUEUE_DELAY_BUCKETS_NS) -> Histogram:
-        """The histogram called ``name`` (created on first use).
-
-        ``bounds`` only applies at creation; later calls reuse the
-        existing buckets.
-        """
+    def histogram(self, name: str) -> QuantileSketch:
+        """The histogram called ``name`` (created on first use)."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds)
-        if self.sketch_observations and histogram.sketch is None:
-            histogram.sketch = self._sketches.setdefault(name, QuantileSketch())
+            histogram = self._histograms[name] = QuantileSketch()
         return histogram
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:
         """Plain-dict dump of every metric, keys sorted for determinism.
 
-        Histogram entries carry ``counts`` (``len(bounds) + 1`` buckets,
-        inclusive upper edges) plus an explicit ``overflow`` — the count
-        of values above the last bound, i.e. the ``+Inf`` bucket minus
-        the last finite one — so JSON consumers never have to know the
-        implicit-last-bucket convention.  A ``"sketches"`` section is
-        present only when quantile sketches were recorded or merged.
+        Each histogram entry is a :meth:`QuantileSketch.to_dict` document:
+        exact ``count``, ``sum``, ``min`` and ``max``, plus the
+        sketch's centroids.
         """
-        snap = {
+        return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
-                name: {
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "overflow": h.counts[-1],
-                    "sum": h.total,
-                    "count": h.count,
-                    "min": h.min,
-                    "max": h.max,
-                }
-                for name, h in sorted(self._histograms.items())
+                name: h.to_dict() for name, h in sorted(self._histograms.items())
             },
         }
-        if self._sketches:
-            snap["sketches"] = {
-                name: self._sketches[name].to_dict()
-                for name in sorted(self._sketches)
-            }
-        return snap
 
     def merge_snapshot(self, snapshot: Dict[str, dict]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
@@ -191,8 +107,8 @@ class MetricsRegistry:
         The parallel harness runs each worker's cells under a private
         registry and merges the snapshots back in shard order, so a
         parallel run's counters and histograms equal the serial run's.
-        Counters add; histogram buckets, sums and counts add (bounds must
-        match, the shared defaults guarantee it in practice); gauges are
+        Counters add; histograms merge centroid-wise (a sketch of a
+        different accuracy is rejected with ``ValueError``); gauges are
         last-write-wins — they are instantaneous values, and merging in
         shard order reproduces the serial "final value" semantics.
         """
@@ -201,40 +117,18 @@ class MetricsRegistry:
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name, bounds=data["bounds"])
-            if list(histogram.bounds) != list(data["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch: "
-                    f"{list(histogram.bounds)} != {list(data['bounds'])}"
-                )
-            for i, count in enumerate(data["counts"]):
-                histogram.counts[i] += count
-            histogram.total += data["sum"]
-            histogram.count += data["count"]
-            if data["count"]:
-                histogram.min = (
-                    data["min"] if histogram.min is None else min(histogram.min, data["min"])
-                )
-                histogram.max = (
-                    data["max"] if histogram.max is None else max(histogram.max, data["max"])
-                )
-        for name, data in snapshot.get("sketches", {}).items():
-            sketch = self._sketches.get(name)
-            if sketch is None:
-                self._sketches[name] = QuantileSketch.from_dict(data)
-            else:
-                sketch.merge(data)
+            self.histogram(name).merge(data)
 
     def merged_sketch(self, prefix: str) -> Optional[QuantileSketch]:
-        """Merge every sketch whose name starts with ``prefix``.
+        """Merge every histogram whose name starts with ``prefix``.
 
-        Returns ``None`` when no matching sketch holds any samples.
+        Returns ``None`` when no matching histogram holds any samples.
         Merging happens on a fresh sketch — the stored ones are never
         mutated by a read.
         """
         merged: Optional[QuantileSketch] = None
-        for name in sorted(self._sketches):
-            sketch = self._sketches[name]
+        for name in sorted(self._histograms):
+            sketch = self._histograms[name]
             if not name.startswith(prefix) or sketch.count == 0:
                 continue
             if merged is None:
@@ -246,41 +140,25 @@ class MetricsRegistry:
 
     def format(self) -> str:
         """Human-readable metrics summary (CLI ``--metrics`` output)."""
-        snap = self.snapshot()
         lines = []
-        if snap["counters"]:
+        if self._counters:
             lines.append("counters:")
-            for name, value in snap["counters"].items():
-                lines.append(f"  {name:48s} {value}")
-        if snap["gauges"]:
+            for name, counter in sorted(self._counters.items()):
+                lines.append(f"  {name:48s} {counter.value}")
+        if self._gauges:
             lines.append("gauges:")
-            for name, value in snap["gauges"].items():
-                lines.append(f"  {name:48s} {value}")
-        if snap["histograms"]:
+            for name, gauge in sorted(self._gauges.items()):
+                lines.append(f"  {name:48s} {gauge.value}")
+        if self._histograms:
             lines.append("histograms:")
-            for name, data in snap["histograms"].items():
-                mean = data["sum"] / data["count"] if data["count"] else 0.0
-                lines.append(
-                    f"  {name:48s} n={data['count']} mean={mean:.0f} "
-                    f"min={data['min']} max={data['max']}"
-                )
-                edges = [*data["bounds"], "inf"]
-                buckets = " ".join(
-                    f"<={edge}:{count}" for edge, count in zip(edges, data["counts"]) if count
-                )
-                if buckets:
-                    lines.append(f"    {buckets}")
-        if snap.get("sketches"):
-            lines.append("sketches:")
-            for name, data in snap["sketches"].items():
-                sketch = QuantileSketch.from_dict(data)
+            for name, sketch in sorted(self._histograms.items()):
                 quantiles = " ".join(
                     f"{label}={value:.0f}"
                     for label, value in sketch.quantiles().items()
                     if value is not None
                 )
                 lines.append(
-                    f"  {name:48s} n={sketch.count} "
-                    f"centroids={sketch.centroid_count()} {quantiles}"
+                    f"  {name:48s} n={sketch.count} mean={sketch.mean or 0.0:.0f} "
+                    f"min={sketch.min} max={sketch.max} {quantiles}".rstrip()
                 )
         return "\n".join(lines) if lines else "(no metrics recorded)"

@@ -29,6 +29,9 @@ from repro.runtime.simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS_ENV
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
 
+#: A file path in a directory that does not exist.
+NO_DIR = str(ROOT / "no-such-dir" / "out.json")
+
 #: command -> {case: argv after the command}; a case is left out where
 #: the command has no flag it could apply to.
 BAD_INPUT = {
@@ -37,12 +40,14 @@ BAD_INPUT = {
         "bad type": ["--parallel", "two"],
         "out of range": ["--parallel", "0"],
         "unknown flag": ["--bogus"],
+        "telemetry-out in a missing directory": ["--telemetry-out", NO_DIR],
     },
     "table2": {
         "missing value": ["--cache-dir"],
         "bad type": ["--parallel", "2.5"],
         "out of range": ["--parallel", "-1"],
         "unknown flag": ["--bogus"],
+        "runlog in a missing directory": ["--runlog", NO_DIR],
     },
     "figure2": {
         "missing value": ["--runlog"],
@@ -60,6 +65,7 @@ BAD_INPUT = {
         "bad name": ["attack", "cve-2018-5092", "--defense", "nope"],
         "bad target": ["everything"],
         "unknown flag": ["attack", "cve-2018-5092", "--bogus"],
+        "out in a missing directory": ["attack", "cve-2018-5092", "--out", NO_DIR],
     },
     "analyze": {
         "missing value": ["races", "cve-2018-5092", "--seed"],
@@ -68,6 +74,7 @@ BAD_INPUT = {
         "out of range": ["determinism", "cve-2018-5092", "--seeds", "0"],
         "bad mode": ["frobnicate", "cve-2018-5092"],
         "unknown flag": ["races", "cve-2018-5092", "--live"],
+        "out in a missing directory": ["races", "cve-2018-5092", "--out", NO_DIR],
     },
     "fuzz": {
         "missing value": ["--budget"],
@@ -88,6 +95,7 @@ BAD_INPUT = {
         "out of range": ["--parallel", "0"],
         "bad name": ["--attacks", "clock-edge,bogus-attack"],
         "unknown flag": ["--bogus"],
+        "out in a missing directory": ["--out", NO_DIR],
     },
     "population": {
         "missing value": ["--size"],
@@ -99,6 +107,7 @@ BAD_INPUT = {
         "zero window": ["--window", "0"],
         "bad mode": ["--mode", "exact"],
         "unknown flag": ["--bogus"],
+        "out in a missing directory": ["--out", NO_DIR],
     },
 }
 
@@ -110,7 +119,9 @@ RUN = {
     "table2": {"runs": (["--no-cache"], ["jskernel        10.00    10.00     1.00"])},
     "figure2": {"sweep": (["--no-cache"], ["  jskernel: (2, 25.00), (6, 25.00), (10, 25.00)"])},
     "dromaeo": {
-        "with metrics": (["--metrics"], ["average +3.84%  median +0.00%", "histograms:"]),
+        "with metrics": (
+            ["--metrics"], ["average +3.84%  median +0.00%", "histograms:", " p99="],
+        ),
     },
     "compat": {"small": ([], ["DOM similarity >= 99%: 100% of sites"])},
     "attacks": {"list": ([], ["sab-timer  (extension)"])},

@@ -12,6 +12,7 @@ from repro.harness.cube import (
     run_cube,
     run_cube_cell,
 )
+from repro.trace import MetricsRegistry
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "cube_expected.json")
 
@@ -24,38 +25,30 @@ def load_fixture() -> dict:
 # ----------------------------------------------------------------------
 # overhead profiles
 # ----------------------------------------------------------------------
-def test_overhead_profile_merges_histograms_into_a_cdf():
-    snapshot = {
-        "histograms": {
-            "eventloop.queue_delay_ns.main": {
-                "bounds": [1000, 10_000],
-                "counts": [2, 1, 1],
-                "sum": 30_000,
-                "count": 4,
-            },
-            "eventloop.queue_delay_ns.worker-1": {
-                "bounds": [1000, 10_000],
-                "counts": [2, 0, 0],
-                "sum": 400,
-                "count": 2,
-            },
-        },
-        "counters": {
-            "eventloop.tasks.timer": 5,
-            "eventloop.tasks.message": 2,
-            "kernel.api_calls.setTimeout": 3,
-            "unrelated.counter": 99,
-        },
-    }
-    profile = overhead_profile(snapshot)
+def test_overhead_profile_merges_histograms_into_quantiles():
+    metrics = MetricsRegistry()
+    for value in (10, 20, 2000, 30_000):
+        metrics.histogram("eventloop.queue_delay_ns.main").add(value)
+    for value in (0, 370):
+        metrics.histogram("eventloop.queue_delay_ns.worker-1").add(value)
+    metrics.histogram("unrelated_ns").add(10**9)
+    for name, value in (
+        ("eventloop.tasks.timer", 5),
+        ("eventloop.tasks.message", 2),
+        ("kernel.api_calls.setTimeout", 3),
+        ("unrelated.counter", 99),
+    ):
+        metrics.counter(name).inc(value)
+    profile = overhead_profile(metrics)
     delay = profile["queue_delay"]
     assert delay["count"] == 6
-    assert delay["mean_ns"] == pytest.approx(30_400 / 6)
-    assert delay["cdf"] == [
-        {"le_ns": 1000, "fraction": pytest.approx(4 / 6)},
-        {"le_ns": 10_000, "fraction": pytest.approx(5 / 6)},
-        {"le_ns": None, "fraction": pytest.approx(1.0)},
-    ]
+    assert delay["mean_ns"] == 32_400 / 6  # exact: the sketch keeps integer sums
+    # the samples of [0, 10, 20, 370, 2000, 30000] at rank q * (n - 1),
+    # each to the sketch's 0.5% value resolution
+    assert delay["p50_ns"] == pytest.approx(20, rel=0.01)
+    assert delay["p95_ns"] == pytest.approx(2000, rel=0.01)
+    assert delay["p99_ns"] == pytest.approx(2000, rel=0.01)
+    assert set(delay) == {"count", "mean_ns", "p50_ns", "p95_ns", "p99_ns"}
     assert profile["tasks"] == 7
     assert profile["kernel_api_calls"] == 3
     assert "kernel_confirm" not in profile  # no kernel histograms present
@@ -82,7 +75,7 @@ def synthetic_result() -> CubeResult:
         "a2": {"jskernel": True, "detbrowser": True},  # overhead divergence
         "a3": {"jskernel": True, "detbrowser": True},  # agreement
     }
-    delay = lambda mean: {"queue_delay": {"count": 1, "mean_ns": mean, "cdf": []}}
+    delay = lambda mean: {"queue_delay": {"count": 1, "mean_ns": mean}}
     result.overhead = {
         "a1": {"jskernel": delay(100.0), "detbrowser": delay(100.0)},
         "a2": {"jskernel": delay(1000.0), "detbrowser": delay(100.0)},
@@ -143,10 +136,12 @@ def test_cube_reproduces_the_fixture_divergence():
     assert result.details == fixture["details"]
     divergent = [c for c in result.divergent_cells() if c["kind"] == "verdict"]
     assert divergent == [c for c in fixture["divergent"] if c["kind"] == "verdict"]
-    # every cell carries a queue-delay overhead CDF
+    # every cell carries a queue-delay overhead profile
     for attack in fixture["attacks"]:
         for defense in fixture["defenses"]:
-            assert result.overhead[attack][defense]["queue_delay"]["cdf"], (attack, defense)
+            delay = result.overhead[attack][defense]["queue_delay"]
+            assert delay["count"] > 0, (attack, defense)
+            assert delay["p50_ns"] <= delay["p95_ns"] <= delay["p99_ns"], (attack, defense)
 
 
 def test_cube_json_round_trips():

@@ -85,7 +85,8 @@ def test_cube_cells_carry_overhead_profiles(shm_cube):
     for attack in SHM_SCENARIOS:
         for defense in CUBE_DEFENSES:
             profile = shm_cube.overhead[attack][defense]
-            assert profile["queue_delay"]["cdf"], (attack, defense)
+            assert profile["queue_delay"]["count"] > 0, (attack, defense)
+            assert profile["queue_delay"]["p99_ns"] is not None, (attack, defense)
 
 
 def test_deadlock_detail_names_the_cycle(shm_cube):

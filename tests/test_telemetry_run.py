@@ -75,9 +75,6 @@ def assert_telemetry_report(json_path):
     engine = report["engine"]
     assert engine["cells"] == engine["computed"] + engine["cached"]
     for name, data in report["metrics"]["histograms"].items():
-        assert len(data["counts"]) == len(data["bounds"]) + 1, name
-        assert data["overflow"] == data["counts"][-1], name
-    for name, data in report["metrics"].get("sketches", {}).items():
         weights = sum(w for _i, w, _s in data["pos"]) + sum(w for _i, w, _s in data["neg"])
         assert data["count"] == data["zero"] + weights, name
     return report
@@ -214,7 +211,7 @@ def test_live_reporter_renders_progress_and_throttles():
 
     clock.moment += 1.0
     telemetry.merge_metrics(
-        {"sketches": {QUEUE_DELAY_PREFIX + "main": _sketch_of([0, 1000, 2500000]).to_dict()}}
+        {"histograms": {QUEUE_DELAY_PREFIX + "main": _sketch_of([0, 1000, 2500000]).to_dict()}}
     )
     telemetry.shard_done(0, 2)
     telemetry.cell_finished(cell, ok=False, cached=False, error="boom")
@@ -327,7 +324,7 @@ def test_engine_accounting_balances_in_the_snapshot():
     assert engine["runs"] == 1 and engine["errors"] == 0
     # runtime metrics came back from the private per-cell tracers
     assert snapshot["metrics"]["counters"]
-    assert snapshot["metrics"]["sketches"]
+    assert snapshot["metrics"]["histograms"]
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +384,7 @@ def _cube_cells(seeds):
     return [
         Cell(
             "cube",
-            {"attack": attack, "defense": defense, "seed": seed, "sketches": True},
+            {"attack": attack, "defense": defense, "seed": seed},
         )
         for attack in ("svg-filtering", "cache-attack")
         for defense in ("legacy-chrome", "jskernel")
@@ -399,20 +396,20 @@ def test_200_cell_cube_quantiles_match_exact_percentiles_without_raw_samples():
     cells = _cube_cells(range(50))
     assert len(cells) == 200
 
-    # --- reference pass (serial): spy on the sketch tee to also keep
-    # the exact raw queue-delay samples the sketches absorb
+    # --- reference pass (serial): spy on the queue-delay histograms'
+    # QuantileSketch.add to also keep the exact raw samples they absorb
     sketch_names = {}
     keepalive = []
     exact_samples = []
     real_histogram = metrics_mod.MetricsRegistry.histogram
     real_add = QuantileSketch.add
 
-    def spy_histogram(self, name, *args, **kwargs):
-        histogram = real_histogram(self, name, *args, **kwargs)
-        if histogram.sketch is not None and id(histogram.sketch) not in sketch_names:
-            sketch_names[id(histogram.sketch)] = name
-            keepalive.append(histogram.sketch)
-        return histogram
+    def spy_histogram(self, name):
+        sketch = real_histogram(self, name)
+        if id(sketch) not in sketch_names:
+            sketch_names[id(sketch)] = name
+            keepalive.append(sketch)
+        return sketch
 
     def spy_add(self, value, weight=1):
         if sketch_names.get(id(self), "").startswith(QUEUE_DELAY_PREFIX):
@@ -447,21 +444,19 @@ def test_200_cell_cube_quantiles_match_exact_percentiles_without_raw_samples():
     # deterministic merging: the parallel snapshot equals the serial one
     assert json.dumps(telem.snapshot(), sort_keys=True) == serial_snapshot
 
-    # everything that crossed the merge path is bounded sketch/histogram
-    # state — centroid lists capped by the compression bound, histogram
-    # count lists capped by the bucket table — never a raw sample list
+    # everything that crossed the merge path is bounded histogram state
+    # — centroid lists capped by the compression bound — never a raw
+    # sample list
     assert crossings
     crossed_samples = 0
     crossed_centroids = 0
     for snapshot in crossings:
-        for name, data in snapshot.get("sketches", {}).items():
+        for name, data in snapshot["histograms"].items():
             centroids = len(data["pos"]) + len(data["neg"])
             assert centroids <= data["max_centroids"]
             if name.startswith(QUEUE_DELAY_PREFIX):
                 crossed_samples += data["count"]
                 crossed_centroids += centroids
-        for data in snapshot.get("histograms", {}).values():
-            assert len(data["counts"]) == len(data["bounds"]) + 1
     # the merged stream summarised far more samples than the state that
     # carried them (the zero mode alone collapses thousands of samples)
     assert crossed_samples == len(exact_samples)
@@ -541,9 +536,42 @@ def test_cli_cube_writes_runlog_and_telemetry(tmp_path, monkeypatch, capsys):
     assert_runlog_balanced(runlog)
     report = assert_telemetry_report(out)
     assert report["engine"]["cells"] == report["engine"]["computed"] == 2
-    # telemetry mode runs the cube with sketches, so the snapshot's
-    # quantiles are populated
+    # the cells' queue-delay histograms reach the report's quantiles
     assert report["run"]["queue_delay_quantiles"]["p95"] > 0
+
+
+def test_observing_a_cube_run_does_not_change_it(tmp_path, monkeypatch, capsys):
+    from repro.__main__ import main
+
+    monkeypatch.delenv("REPRO_RUNLOG", raising=False)
+    monkeypatch.chdir(tmp_path)  # --live writes its default run log here
+    params = []
+    real_run = ExperimentEngine.run
+
+    def spy_run(self, cells):
+        cells = list(cells)
+        params.extend(cell.params for cell in cells)
+        return real_run(self, cells)
+
+    monkeypatch.setattr(ExperimentEngine, "run", spy_run)
+    argv = [
+        "cube",
+        "--attacks",
+        "svg-filtering",
+        "--defenses",
+        "legacy-chrome,jskernel",
+        "--no-cache",
+        "--json",
+    ]
+    outputs = []
+    for observe in ([], ["--runlog", str(tmp_path / "run.jsonl")], ["--live"]):
+        assert main(argv + observe) == 0
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["verdicts"]
+    assert outputs[0] == outputs[1] == outputs[2]
+    # a cube cell's params, and so its cache key, are its inputs only
+    assert len(params) == 6
+    assert all(set(cell) == {"attack", "defense", "seed"} for cell in params)
 
 
 def test_cli_sharded_fuzz_writes_runlog_and_telemetry(tmp_path, monkeypatch, capsys):

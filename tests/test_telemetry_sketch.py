@@ -227,7 +227,6 @@ def test_merge_collapses_to_the_tighter_bound():
 # ----------------------------------------------------------------------
 def test_merged_sketch_selects_by_prefix_without_mutating():
     registry = MetricsRegistry()
-    registry.sketch_observations = True
     for name, values in (
         ("eventloop.queue_delay_ns.main", (1, 2, 3)),
         ("eventloop.queue_delay_ns.worker", (10, 20)),
@@ -235,11 +234,11 @@ def test_merged_sketch_selects_by_prefix_without_mutating():
     ):
         histogram = registry.histogram(name)
         for value in values:
-            histogram.record(value)
+            histogram.add(value)
 
     merged = registry.merged_sketch("eventloop.queue_delay_ns.")
     assert merged.count == 5
     assert merged.max == 20  # kernel sketch not included
     # reading never mutates the stored sketches
-    assert registry.snapshot()["sketches"]["eventloop.queue_delay_ns.main"]["count"] == 3
+    assert registry.snapshot()["histograms"]["eventloop.queue_delay_ns.main"]["count"] == 3
     assert registry.merged_sketch("no.such.prefix") is None

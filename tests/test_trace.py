@@ -9,11 +9,10 @@ from repro.runtime.eventloop import EventLoop
 from repro.runtime.simtime import ms, us
 from repro.runtime.simulator import Simulator
 from repro.runtime.task import Microtask
+from repro.telemetry import QuantileSketch
 from repro.trace import (
-    LATENCY_BUCKETS_NS,
     NULL_TRACER,
     Counter,
-    Histogram,
     MetricsRegistry,
     Tracer,
     capture,
@@ -81,34 +80,18 @@ def test_queue_delay_is_measured_and_recorded():
 # ----------------------------------------------------------------------
 # metrics primitives
 # ----------------------------------------------------------------------
-def test_histogram_bucket_edges_are_inclusive_upper_bounds():
-    h = Histogram((10, 100))
-    h.record(10)  # lands in the <=10 bucket, not the next one
-    h.record(11)
-    h.record(100)
-    h.record(101)  # overflow bucket
-    assert h.counts == [1, 2, 1]
+def test_registry_histogram_is_a_quantile_sketch_with_exact_moments():
+    registry = MetricsRegistry()
+    h = registry.histogram("h")
+    assert isinstance(h, QuantileSketch)
+    for value in (10, 11, 100, 101):
+        h.add(value)
+    assert registry.histogram("h") is h  # created once, reused by name
     assert h.count == 4
     assert h.total == 222
     assert h.min == 10
     assert h.max == 101
-
-
-def test_histogram_latency_bucket_boundary_values_stay_in_their_bucket():
-    h = Histogram(LATENCY_BUCKETS_NS)
-    h.record(1_000_000)  # exactly on a bucket edge: inclusive upper bound
-    h.record(1_000_001)  # one past the edge lands in the next bucket
-    edge_index = LATENCY_BUCKETS_NS.index(1_000_000)
-    assert h.counts[edge_index] == 1
-    assert h.counts[edge_index + 1] == 1
-    assert h.count == 2
-
-
-def test_histogram_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        Histogram(())
-    with pytest.raises(ValueError):
-        Histogram((100, 10))
+    assert h.quantile(0.5) == pytest.approx(11, rel=0.01)
 
 
 def test_counter_rejects_decrements():
@@ -123,65 +106,22 @@ def test_registry_snapshot_is_plain_json_serialisable_data():
     registry = MetricsRegistry()
     registry.counter("c").inc(3)
     registry.gauge("g").set(1.5)
-    registry.histogram("h", (10,)).record(7)
+    registry.histogram("h").add(7)
     snap = registry.snapshot()
     assert snap["counters"] == {"c": 3}
     assert snap["gauges"] == {"g": 1.5}
-    assert snap["histograms"]["h"]["counts"] == [1, 0]
+    assert snap["histograms"]["h"] == registry.histogram("h").to_dict()
+    assert snap["histograms"]["h"]["count"] == 1
     json.dumps(snap)  # embeds in harness payloads without custom encoders
-
-
-def test_snapshot_exports_the_overflow_bucket_explicitly():
-    registry = MetricsRegistry()
-    h = registry.histogram("h", (10, 100))
-    h.record(5)
-    h.record(50)
-    h.record(101)
-    h.record(10**9)
-    snap = registry.snapshot()["histograms"]["h"]
-    # counts has one more entry than bounds (the implicit last bucket),
-    # and the overflow key names that last entry so consumers never have
-    # to know the convention
-    assert len(snap["counts"]) == len(snap["bounds"]) + 1
-    assert snap["counts"] == [1, 1, 2]
-    assert snap["overflow"] == 2
-    assert snap["overflow"] == snap["counts"][-1]
-
-
-def test_sketch_observations_tee_histograms_into_sketches():
-    registry = MetricsRegistry()
-    registry.sketch_observations = True
-    h = registry.histogram("lat", (10, 100))
-    for value in (1, 7, 120, 120):
-        h.record(value)
-    registry.histogram("lat", (10, 100))  # same histogram, same sketch
-    snap = registry.snapshot()
-    sketch = snap["sketches"]["lat"]
-    assert sketch["count"] == 4
-    assert sketch["sum"] == 248
-    # the histogram itself is unchanged by the tee
-    assert snap["histograms"]["lat"]["count"] == 4
-
-    # merging a snapshot that carries sketches folds them in
-    other = MetricsRegistry()
-    other.merge_snapshot(snap)
-    other.merge_snapshot(snap)
-    assert other.snapshot()["sketches"]["lat"]["count"] == 8
-
-    # without the opt-in flag no sketch is attached and none exported
-    plain = MetricsRegistry()
-    plain.histogram("lat", (10, 100)).record(1)
-    assert "sketches" not in plain.snapshot()
 
 
 def test_registry_merge_folds_counters_gauges_histograms_and_sketches():
     worker = MetricsRegistry()
-    worker.sketch_observations = True
     worker.counter("cells").inc(3)
     worker.gauge("depth").set(4.0)
-    histogram = worker.histogram("h", (10, 100))
+    histogram = worker.histogram("h")
     for value in (3, 20, 50, 120):
-        histogram.record(value)
+        histogram.add(value)
     snap = worker.snapshot()
 
     merged = MetricsRegistry()
@@ -193,18 +133,18 @@ def test_registry_merge_folds_counters_gauges_histograms_and_sketches():
     assert out["counters"] == {"cells": 8}
     assert out["gauges"] == {"depth": 4.0}  # last write wins
     h = out["histograms"]["h"]
-    assert h["counts"] == [2, 4, 2] and h["overflow"] == 2
     assert h["count"] == 8 and h["sum"] == 386
     assert h["min"] == 3 and h["max"] == 120
-    assert out["sketches"]["h"]["count"] == 8
+    # centroid-wise addition: every centroid's weight and sum doubled
+    doubled = [[i, 2 * w, 2 * t] for i, w, t in snap["histograms"]["h"]["pos"]]
+    assert h["pos"] == doubled
 
 
 def test_registry_snapshot_round_trips_through_json_and_merge():
     worker = MetricsRegistry()
-    worker.sketch_observations = True
     worker.counter("a").inc()
     worker.gauge("g").set(2.5)
-    worker.histogram("s", (10, 100)).record(7)
+    worker.histogram("s").add(7)
     snap = worker.snapshot()
 
     fresh = MetricsRegistry()
@@ -214,13 +154,25 @@ def test_registry_snapshot_round_trips_through_json_and_merge():
     )
 
 
-def test_registry_merge_rejects_a_histogram_bucket_mismatch():
+def test_registry_merge_rejects_a_histogram_accuracy_mismatch():
+    # worker input whose sketch sits on a different log grid cannot be
+    # folded centroid-wise
     registry = MetricsRegistry()
-    registry.histogram("h", (10,)).record(5)
-    other = MetricsRegistry()
-    other.histogram("h", (20,)).record(5)
-    with pytest.raises(ValueError, match="bucket mismatch"):
-        registry.merge_snapshot(other.snapshot())
+    registry.histogram("h").add(5)
+    other = QuantileSketch(accuracy=0.01)
+    other.add(5)
+    with pytest.raises(ValueError, match="different accuracies"):
+        registry.merge_snapshot({"histograms": {"h": other.to_dict()}})
+
+
+def test_metrics_format_prints_histogram_quantiles():
+    registry = MetricsRegistry()
+    for value in range(1, 101):
+        registry.histogram("lat").add(value)
+    line = registry.format().splitlines()[-1]
+    assert line.split()[0] == "lat"
+    for field in ("n=100", "mean=50", "min=1", "max=100", "p50=", "p90=", "p95=", "p99="):
+        assert field in line, field
 
 
 # ----------------------------------------------------------------------
