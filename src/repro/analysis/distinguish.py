@@ -1,13 +1,15 @@
 """Attack-success metric: can the adversary distinguish two secrets?
 
 A timing attack yields a *measurement* per trial.  The defense evaluation
-(DESIGN.md §6) declares the attack successful when a simple threshold
-classifier, trained and evaluated on the paired trial measurements for
-secret A vs secret B, reaches accuracy ≥ :data:`SUCCESS_ACCURACY`.
+(DESIGN.md §6) declares the attack successful when either adversary
+wins: a threshold classifier, trained and evaluated on held-out halves
+of the trial measurements for secret A vs secret B, reaches accuracy
+≥ :data:`SUCCESS_ACCURACY`, or Welch's t between the two samples reaches
+|t| ≥ :data:`SUCCESS_T_STAT`.
 
-This matches how the paper argues: "an adversary can still average the
-results of 25 runs and differentiate two images" — averaging is exactly
-what the threshold classifier over multi-trial means captures.
+The second test matches how the paper argues: "an adversary can still
+average the results of 25 runs and differentiate two images" — a mean
+separation that averaging exposes is what Welch's t measures.
 """
 
 from __future__ import annotations
@@ -124,19 +126,14 @@ def welch_t(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:
 SUCCESS_T_STAT = 4.0
 
 
-def distinguishable(
-    samples_a: Sequence[float],
-    samples_b: Sequence[float],
-    group_size: int = 5,  # kept for API compatibility
-    threshold: float = SUCCESS_ACCURACY,
-) -> bool:
+def distinguishable(samples_a: Sequence[float], samples_b: Sequence[float]) -> bool:
     """The Table I success criterion for timing attacks.
 
     Success if EITHER the single-trial adversary wins (held-out threshold
-    classifier accuracy >= ``threshold``) OR the averaging adversary wins
-    (Welch |t| >= :data:`SUCCESS_T_STAT`) — mirroring the paper's "an
-    adversary can still average the results of 25 runs".
+    classifier accuracy >= :data:`SUCCESS_ACCURACY`) OR the averaging
+    adversary wins (Welch |t| >= :data:`SUCCESS_T_STAT`) — mirroring the
+    paper's "an adversary can still average the results of 25 runs".
     """
     accuracy = held_out_accuracy(samples_a, samples_b)
     t_stat = welch_t(samples_a, samples_b)
-    return accuracy >= threshold or t_stat >= SUCCESS_T_STAT
+    return accuracy >= SUCCESS_ACCURACY or t_stat >= SUCCESS_T_STAT

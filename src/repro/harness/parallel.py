@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import traceback
 from collections import deque
 from collections.abc import Sized
@@ -61,6 +62,12 @@ from ..trace import Tracer, capture, current_tracer
 from .cache import ResultCache, as_cache
 
 
+#: ``repr`` for cell labels: long lists and dicts (a population block's
+#: pages) are abbreviated with ``...``; names and numbers stay whole.
+_LABEL_REPR = reprlib.Repr()
+_LABEL_REPR.maxstring = _LABEL_REPR.maxother = 80
+
+
 @dataclass(frozen=True)
 class Cell:
     """One experiment cell: a registered kind plus its parameters."""
@@ -69,8 +76,10 @@ class Cell:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def label(self) -> str:
-        """Compact human-readable identity (error messages, reports)."""
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
+        """Compact one-line identity (error messages, reports)."""
+        inner = ", ".join(
+            f"{k}={_LABEL_REPR.repr(v)}" for k, v in sorted(self.params.items())
+        )
         return f"{self.kind}({inner})"
 
 
@@ -167,20 +176,17 @@ def _run_alexa_cell(config: str, rank: int, site_count: int, visits: int, seed: 
 
 
 @cell_kind("population")
-def _run_population_cell(
-    rank: int,
-    seed: int,
-    size: int,
-    mode: str = "model",
-    config: str = "",
-    visit: int = 0,
-) -> dict:
-    """One population-sweep visit (see :mod:`repro.workloads.population`)."""
-    from ..workloads.population import run_population_page
+def _run_population_cell(seed: int, size: int, mode: str, pages: List[list]) -> List[dict]:
+    """One block of population-sweep visits: each ``[rank, config, visit]``
+    page's payload, in order (see :mod:`repro.workloads.population`)."""
+    from ..workloads import population
 
-    return run_population_page(
-        rank, seed, size=size, mode=mode, config=config, visit=visit
-    )
+    # looked up per call, so a wrapped run_population_page is the one run
+    run_page = population.run_population_page
+    return [
+        run_page(rank, seed, size=size, mode=mode, config=config, visit=visit)
+        for rank, config, visit in pages
+    ]
 
 
 @cell_kind("fuzz")

@@ -53,8 +53,9 @@ class Scheduler:
         self.trace_row = f"kernel:{kspace.label}"
         # per-kind "kevent:<kind>" name cache for the traced path
         self._span_names: Dict[str, str] = {}
-        # cached metric handles, bound on the first traced use (a
-        # simulator's tracer is fixed for its life)
+        # cached metric handles, bound on first traced use (a simulator's
+        # tracer is fixed for its life); the confirm pair on the first
+        # confirm, so a kernel that never confirms exports neither
         self._mh_registered: Dict[str, Any] = {}
         self._mh_cancelled: Dict[str, Any] = {}
         self._mh_confirmed = None
@@ -67,7 +68,7 @@ class Scheduler:
         return name
 
     def _bind_metrics(self, tracer) -> None:
-        """Bind cached metric handles to ``tracer``'s registry."""
+        """Bind the confirm counter and latency histogram to ``tracer``."""
         metrics = tracer.metrics
         self._mh_confirmed = metrics.counter("kernel.confirmed")
         self._mh_confirm_hist = metrics.histogram(
@@ -140,8 +141,6 @@ class Scheduler:
                     "ctx": sim.trace_context,
                 },
             )
-            if self._mh_confirmed is None:
-                self._bind_metrics(tracer)
             counter = self._mh_registered.get(kind)
             if counter is None:
                 counter = self._mh_registered[kind] = tracer.metrics.counter(
@@ -286,8 +285,6 @@ class Scheduler:
                 cat="kernel-event",
                 args={"cancelled": case, "ctx": sim.trace_context},
             )
-        if self._mh_confirmed is None:
-            self._bind_metrics(tracer)
         counter = self._mh_cancelled.get(case)
         if counter is None:
             counter = self._mh_cancelled[case] = tracer.metrics.counter(

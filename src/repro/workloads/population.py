@@ -34,8 +34,9 @@ Two measurement modes: ``"sim"`` drives the full simulated browser
 path), ``"model"`` evaluates a closed-form load-time estimate from the
 site description (network + parse + DOM + script-task terms with a
 seeded ±5% jitter).  The model mode is ~1000x cheaper per page and is
-what makes million-page population statistics practical; the bounded-RSS
-acceptance test (``tests/test_population.py``) runs it at 50k pages.
+what makes million-page population statistics practical.  At that
+price the engine's per-cell bookkeeping would rival the page itself,
+so a ``"population"`` cell is a block of :data:`PAGE_BLOCK` page visits.
 
 Aggregation is sketch-only: :class:`PopulationAggregate` folds each
 result into per-config and per-archetype
@@ -59,6 +60,7 @@ __all__ = [
     "BAND_MIX",
     "DEFAULT_BROWSER_MIX",
     "DEFAULT_POPULATION",
+    "PAGE_BLOCK",
     "PopulationAggregate",
     "PopulationModel",
     "Session",
@@ -326,7 +328,11 @@ def estimate_load_ms(
     a 500-site lab run and million-page population statistics.
     """
     script_bytes = sum(r.size_bytes for r in site.resources if r.kind == "script")
-    task_ms = sum(cost for _delay, cost in site.task_pattern)
+    # folded left to right like site_stats: float sum() is compensated
+    # from Python 3.12 on and would differ by a few ulps
+    task_ms = 0.0
+    for _delay, cost in site.task_pattern:
+        task_ms += cost
     return _estimate(
         site.total_bytes(), script_bytes, site.dom_nodes, task_ms,
         config, seed, site.host, archetype,
@@ -341,10 +347,10 @@ def run_population_page(
     config: str = "",
     visit: int = 0,
 ) -> dict:
-    """One population cell: regenerate the page, measure one visit.
+    """One population page visit: regenerate the page, measure the visit.
 
-    This is the worker-side body of the ``"population"`` cell kind:
-    everything is rebuilt from ``(rank, seed)``, nothing is shipped.
+    The ``"population"`` cell kind runs this once per visit of its
+    block: everything is rebuilt from ``(rank, seed)``, nothing is shipped.
     ``config`` overrides the traffic-mix pick (session-driven visits
     carry their session's browser).
     """
@@ -382,6 +388,30 @@ def run_population_page(
 # ----------------------------------------------------------------------
 # cells + bounded-memory aggregation
 # ----------------------------------------------------------------------
+#: Page visits per ``"population"`` cell.  A block, not a page, is the
+#: unit the engine admits, caches and ships to a worker, so the engine's
+#: per-cell bookkeeping is paid once per block of closed-form pages.
+PAGE_BLOCK = 256
+
+
+def _blocks(visits: Iterator[list], seed: int, size: int, mode: str):
+    """Chunk a ``[rank, config, visit]`` stream into ``"population"`` cells
+    of :data:`PAGE_BLOCK` visits each (the last block may be short)."""
+    from ..harness.parallel import Cell
+
+    def cell(pages: list):
+        return Cell("population", {"seed": seed, "size": size, "mode": mode, "pages": pages})
+
+    pages: list = []
+    for visit in visits:
+        pages.append(visit)
+        if len(pages) == PAGE_BLOCK:
+            yield cell(pages)
+            pages = []
+    if pages:
+        yield cell(pages)
+
+
 def population_cells(
     size: int,
     seed: int = 0,
@@ -389,31 +419,24 @@ def population_cells(
     visits: int = 1,
     browser_mix: Optional[Sequence[Tuple[str, float]]] = None,
 ):
-    """Lazily generate one ``"population"`` cell per (rank, visit).
+    """Lazily generate the uniform rank scan as ``"population"`` cells.
 
-    A generator, deliberately: feeding it to
+    Each cell is a block of :data:`PAGE_BLOCK` ``[rank, config, visit]``
+    visits, ``visits`` per rank in rank order.  A generator,
+    deliberately: feeding it to
     :meth:`~repro.harness.parallel.ExperimentEngine.stream` keeps the
     resident cell count bounded by the stream window no matter how
     large ``size`` is.
     """
-    from ..harness.parallel import Cell
+    mix = None if browser_mix is None else tuple(browser_mix)
 
-    for rank in range(size):
-        config = ""
-        if browser_mix is not None:
-            config = config_for_rank(rank, seed, tuple(browser_mix))
-        for visit in range(visits):
-            yield Cell(
-                "population",
-                {
-                    "rank": rank,
-                    "seed": seed,
-                    "size": size,
-                    "mode": mode,
-                    "config": config,
-                    "visit": visit,
-                },
-            )
+    def scan() -> Iterator[list]:
+        for rank in range(size):
+            config = "" if mix is None else config_for_rank(rank, seed, mix)
+            for visit in range(visits):
+                yield [rank, config, visit]
+
+    return _blocks(scan(), seed, size, mode)
 
 
 def session_cells(
@@ -421,28 +444,20 @@ def session_cells(
     sessions: int,
     mode: str = "model",
 ):
-    """One ``"population"`` cell per page visit of ``sessions`` sessions.
+    """The page visits of ``sessions`` sessions as ``"population"`` cells.
 
     The arrival process decides *which* pages get visited (Zipf over the
     rank distribution) and *with which browser* (the session's pick), so
     the sweep measures what users experience rather than a uniform rank
-    scan.
+    scan.  Visits are blocked into cells as in :func:`population_cells`.
     """
-    from ..harness.parallel import Cell
 
-    for session in session_stream(model, count=sessions):
-        for visit, rank in enumerate(session.pages):
-            yield Cell(
-                "population",
-                {
-                    "rank": rank,
-                    "seed": model.seed,
-                    "size": model.size,
-                    "mode": mode,
-                    "config": session.config,
-                    "visit": session.index * 131 + visit,
-                },
-            )
+    def visits() -> Iterator[list]:
+        for session in session_stream(model, count=sessions):
+            for visit, rank in enumerate(session.pages):
+                yield [rank, session.config, session.index * 131 + visit]
+
+    return _blocks(visits(), model.seed, model.size, mode)
 
 
 class PopulationAggregate:
@@ -451,11 +466,14 @@ class PopulationAggregate:
     Per-config and per-archetype load-time sketches (observed as integer
     microseconds, so merges are byte-identical under re-partitioning),
     page/error counters, and an error list capped at ``max_errors`` with
-    an explicit overflow counter — never a per-page sample list.
+    an explicit overflow counter — never a per-page sample list.  A
+    failed block costs one error line, and its visits are counted in
+    ``failed_pages`` so lost work stays visible.
     """
 
     def __init__(self, max_errors: int = 20):
         self.pages = 0
+        self.failed_pages = 0
         self.cached = 0
         self.max_errors = max_errors
         self.errors: List[str] = []
@@ -464,26 +482,30 @@ class PopulationAggregate:
         self.by_archetype: Dict[str, QuantileSketch] = {}
 
     def add(self, result) -> None:
-        """Fold one :class:`~repro.harness.parallel.CellResult` in."""
+        """Fold one block's :class:`~repro.harness.parallel.CellResult` in,
+        page by page in visit order."""
         if not result.ok:
+            self.failed_pages += len(result.cell.params["pages"])
             if len(self.errors) < self.max_errors:
                 self.errors.append(f"{result.cell.label()}: {result.error}")
             else:
                 self.error_overflow += 1
             return
-        self.pages += 1
+        payloads = result.payload
+        self.pages += len(payloads)
         if result.cached:
-            self.cached += 1
-        payload = result.payload
-        micros = int(round(payload["load_ms"] * 1000.0))
-        for keyed, key in (
-            (self.by_config, payload["config"]),
-            (self.by_archetype, payload["archetype"]),
-        ):
-            sketch = keyed.get(key)
-            if sketch is None:
-                sketch = keyed[key] = QuantileSketch()
-            sketch.add(micros)
+            self.cached += len(payloads)
+        by_config, by_archetype = self.by_config, self.by_archetype
+        for payload in payloads:
+            micros = int(round(payload["load_ms"] * 1000.0))
+            for keyed, key in (
+                (by_config, payload["config"]),
+                (by_archetype, payload["archetype"]),
+            ):
+                sketch = keyed.get(key)
+                if sketch is None:
+                    sketch = keyed[key] = QuantileSketch()
+                sketch.add(micros)
 
     @staticmethod
     def _summary(sketch: QuantileSketch) -> dict:
@@ -501,6 +523,7 @@ class PopulationAggregate:
         """The deterministic sweep summary (quantiles in ms)."""
         return {
             "pages": self.pages,
+            "failed_pages": self.failed_pages,
             "cached": self.cached,
             "errors": self.errors,
             "error_overflow": self.error_overflow,
@@ -525,20 +548,20 @@ def population_sweep(
     parallel: Optional[int] = None,
     cache=None,
     window: Optional[int] = None,
-    engine=None,
 ) -> dict:
     """Stream a population sweep and return its bounded-memory summary.
 
     ``sessions`` switches from a uniform rank scan to the session
     arrival process (``sessions`` sessions' worth of page visits).  The
     cell stream and the result stream are both generators; resident
-    state is the engine's in-flight window plus the aggregate's
-    sketches, independent of ``size``.
+    state is the engine's in-flight window of blocks plus the
+    aggregate's sketches, independent of ``size``.  A pool ships one
+    block per chunk.  ``pages``, ``failed_pages`` and ``cached`` count
+    page visits; ``computed`` and ``cache_hits`` count blocks (cells).
     """
     from ..harness.parallel import ExperimentEngine
 
-    if engine is None:
-        engine = ExperimentEngine(workers=parallel, cache=cache)
+    engine = ExperimentEngine(workers=parallel, cache=cache, chunk_size=1)
     if sessions is not None:
         model = PopulationModel(
             size=size, seed=seed,

@@ -134,6 +134,24 @@ def generate_site(host: str, seed: int, weight: str = "medium") -> SiteDescripti
     )
 
 
+def _randint_operands(lo: int, hi: int) -> Tuple[int, int, int]:
+    """``(lo, n, n.bit_length())`` for ``randint(lo, hi)``, ``n = hi - lo + 1``."""
+    n = hi - lo + 1
+    return lo, n, n.bit_length()
+
+
+#: Per weight class, the operands :func:`site_stats` draws with: the
+#: ``randint`` ranges (scripts, script_kb, images, image_kb, tasks, nodes)
+#: as :func:`_randint_operands`, then the task cost's ``(lo, hi - lo)``.
+_STATS_DRAWS = {
+    weight: tuple(
+        _randint_operands(*p[key])
+        for key in ("scripts", "script_kb", "images", "image_kb", "tasks", "nodes")
+    ) + ((p["cost"][0], p["cost"][1] - p["cost"][0]),)
+    for weight, p in SITE_PROFILES.items()
+}
+
+
 def site_stats(host: str, seed: int, weight: str = "medium") -> Tuple[int, int, int, float]:
     """``(total_bytes, script_bytes, dom_nodes, task_cost_ms)`` of the site
     :func:`generate_site` would build for the same arguments.
@@ -141,24 +159,58 @@ def site_stats(host: str, seed: int, weight: str = "medium") -> Tuple[int, int, 
     Consumes the identical seeded draw sequence but allocates nothing —
     the cheap summary closed-form load models need at population scale,
     where building tens of resource objects per page would dominate a
-    100k-page sweep.
+    100k-page sweep.  Each ``randint(lo, hi)`` is replayed as CPython
+    computes it — ``lo + r`` for the first ``r = getrandbits(k)`` below
+    ``n`` — and ``uniform(a, b)`` as ``a + (b - a) * random()``, without
+    the three Python frames ``randint`` costs per call;
+    ``tests/test_population.py`` checks the replay against
+    :func:`generate_site` itself.
     """
     rng = random.Random(hash_seed(seed, host))
-    p = SITE_PROFILES[weight]
-    randint = rng.randint
+    bits = rng.getrandbits
+    rand = rng.random
+    scripts, script_kb, images, image_kb, tasks, nodes, (cost_lo, cost_width) = (
+        _STATS_DRAWS[weight]
+    )
+
+    lo, n, k = scripts
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    lo_kb, n_kb, k_kb = script_kb
     script_bytes = 0
-    for _ in range(randint(*p["scripts"])):
-        script_bytes += randint(*p["script_kb"]) * 1024
+    for _ in range(lo + r):
+        r = bits(k_kb)
+        while r >= n_kb:
+            r = bits(k_kb)
+        script_bytes += (lo_kb + r) * 1024
+
+    lo, n, k = images
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    lo_kb, n_kb, k_kb = image_kb
     total_bytes = script_bytes
-    for _ in range(randint(*p["images"])):
-        total_bytes += randint(*p["image_kb"]) * 1024
-    uniform = rng.uniform
-    cost_lo, cost_hi = p["cost"]
+    for _ in range(lo + r):
+        r = bits(k_kb)
+        while r >= n_kb:
+            r = bits(k_kb)
+        total_bytes += (lo_kb + r) * 1024
+
+    lo, n, k = tasks
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
     task_cost_ms = 0.0
-    for _ in range(randint(*p["tasks"])):
-        uniform(1, 12)  # the task's delay draw; stats only need the cost
-        task_cost_ms += uniform(cost_lo, cost_hi)
-    return total_bytes, script_bytes, randint(*p["nodes"]), task_cost_ms
+    for _ in range(lo + r):
+        rand()  # the task's delay draw; stats only need the cost
+        task_cost_ms += cost_lo + cost_width * rand()
+
+    lo, n, k = nodes
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return total_bytes, script_bytes, lo + r, task_cost_ms
 
 
 def host_site(network: SimNetwork, site: SiteDescription) -> None:

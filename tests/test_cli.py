@@ -112,6 +112,9 @@ BAD_INPUT = {
 }
 
 
+#: A ``--metrics`` histogram line with no observations.
+EMPTY_HISTOGRAM = re.compile(r"^\s+\S+\s+n=0\b.*$", re.MULTILINE)
+
 #: command -> {case: (argv after the command, lines its output must
 #: contain)}: the smallest end-to-end run of every command, in process.
 RUN = {
@@ -194,6 +197,8 @@ def test_every_command_runs_end_to_end(command, argv, lines, tmp_path, monkeypat
     out = capsys.readouterr().out
     for line in lines:
         assert line in out
+    # --metrics lists only histograms that observed something
+    assert not EMPTY_HISTOGRAM.findall(out)
 
 
 # ----------------------------------------------------------------------

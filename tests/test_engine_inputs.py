@@ -14,7 +14,8 @@ from repro.__main__ import main
 from repro.explore.campaign import run_campaign, run_diff_campaign
 from repro.harness import Cell, ExperimentEngine, ResultCache
 from repro.telemetry import telemetry_session
-from repro.workloads.population import population_cells
+
+from .test_streaming_engine import probe_cells
 
 
 @pytest.mark.parametrize("window", [0, -1, "x"])
@@ -22,7 +23,7 @@ from repro.workloads.population import population_cells
 def test_stream_rejects_a_window_that_is_not_a_positive_integer(workers, window):
     engine = ExperimentEngine(workers=workers)
     with pytest.raises(ValueError, match="window"):
-        list(engine.stream(population_cells(4, seed=0), window=window))
+        list(engine.stream(probe_cells(4), window=window))
     assert engine.computed == 0
 
 
@@ -45,12 +46,14 @@ def test_parallel_campaign_fans_out_and_matches_serial(campaign):
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_repeated_cell_is_computed_once_then_served_from_cache(tmp_path, workers):
-    cell = Cell("population", {"rank": 3, "seed": 0, "size": 10})
+    block = [[3, "", 0], [4, "jskernel", 0], [3, "", 1]]
+    cell = Cell("population", {"seed": 0, "size": 10, "mode": "model", "pages": block})
     engine = ExperimentEngine(workers=workers, cache=ResultCache(tmp_path))
     first, second = engine.run([cell, cell])
     assert engine.computed == 1 and engine.cache_hits == 1
     assert not first.cached and second.cached
     assert second.payload == first.payload
+    assert [page["rank"] for page in first.payload] == [3, 4, 3]
 
 
 @pytest.mark.parametrize("workers", [None, 2])

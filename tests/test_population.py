@@ -9,16 +9,21 @@ counting the cells pulled but not yet aggregated, and by comparing the
 aggregate's pickled size at a quarter of the sweep and at its end.
 """
 
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.harness.parallel import ExperimentEngine
+from repro.harness import ResultCache
+from repro.harness.parallel import Cell, CellResult
 from repro.runtime.rng import hash_seed
+from repro.telemetry import telemetry_session
 from repro.workloads import population
 from repro.workloads.population import (
     ARCHETYPES,
     DEFAULT_BROWSER_MIX,
+    PAGE_BLOCK,
     PopulationAggregate,
     PopulationModel,
     archetype_for_rank,
@@ -31,7 +36,7 @@ from repro.workloads.population import (
     session_stream,
     zipf_rank,
 )
-from repro.workloads.sites import generate_site, site_stats
+from repro.workloads.sites import SITE_PROFILES, generate_site, site_stats
 
 
 # ----------------------------------------------------------------------
@@ -56,18 +61,38 @@ def test_page_host_carries_archetype_and_rank():
     assert page.host == f"{archetype}0000042.example"
 
 
+def _assert_site_stats_match(host, seed, weight):
+    # site_stats replays randint/uniform from getrandbits/random; the
+    # real generator is the reference, compared exactly
+    site = generate_site(host, seed, weight)
+    task_ms = 0.0
+    for _delay, cost in site.task_pattern:
+        task_ms += cost
+    assert site_stats(host, seed, weight) == (
+        site.total_bytes(),
+        sum(r.size_bytes for r in site.resources if r.kind == "script"),
+        site.dom_nodes,
+        task_ms,
+    )
+
+
 @pytest.mark.parametrize("host,seed,weight", [
     ("news0000001.example", 11, "heavy"),
     ("docs0001234.example", 0, "light"),
     ("shop0099999.example", 5, "medium"),
 ])
 def test_site_stats_matches_the_generated_site(host, seed, weight):
-    site = generate_site(host, seed, weight)
-    total, script, nodes, task_ms = site_stats(host, seed, weight)
-    assert total == site.total_bytes()
-    assert script == sum(r.size_bytes for r in site.resources if r.kind == "script")
-    assert nodes == site.dom_nodes
-    assert task_ms == pytest.approx(sum(cost for _t, cost in site.task_pattern))
+    _assert_site_stats_match(host, seed, weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    host=st.text(min_size=1, max_size=24),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    weight=st.sampled_from(sorted(SITE_PROFILES)),
+)
+def test_site_stats_matches_the_generated_site_for_any_input(host, seed, weight):
+    _assert_site_stats_match(host, seed, weight)
 
 
 @pytest.mark.parametrize("rank", [0, 7, 999, 43_210, 999_999])
@@ -164,7 +189,9 @@ def test_session_stream_is_a_prefix_stable_renewal_process():
 def test_sweep_report_balances_and_merges_by_config():
     report = population_sweep(400, seed=1)
     assert report["pages"] == 400
-    assert report["computed"] == 400
+    assert report["failed_pages"] == 0
+    # computed counts cells, and a cell is a block of page visits
+    assert report["computed"] == math.ceil(400 / PAGE_BLOCK)
     assert report["errors"] == []
     assert sum(c["count"] for c in report["configs"].values()) == 400
     assert sum(a["count"] for a in report["archetypes"].values()) == 400
@@ -178,13 +205,118 @@ def test_sweep_is_identical_serial_and_parallel():
     assert pooled == serial
 
 
+def test_warm_rerun_serves_every_block_from_the_cache(tmp_path):
+    cold = population_sweep(300, seed=2, cache=ResultCache(tmp_path))
+    warm = population_sweep(300, seed=2, cache=ResultCache(tmp_path))
+    assert (cold["computed"], cold["cache_hits"], cold["cached"]) == (2, 0, 0)
+    # cache_hits counts blocks, cached counts their pages
+    assert (warm["computed"], warm["cache_hits"], warm["cached"]) == (0, 2, 300)
+    for report in (cold, warm):
+        for key in ("computed", "cache_hits", "cached"):
+            report.pop(key)
+    assert warm == cold
+
+
+def _direct_fold(visits, seed, size):
+    """The sweep's report computed page by page, without the engine."""
+    aggregate = PopulationAggregate()
+    payloads = [
+        run_population_page(rank, seed, size=size, config=config, visit=visit)
+        for rank, config, visit in visits
+    ]
+    aggregate.add(CellResult(Cell("population", {"pages": visits}), payload=payloads))
+    return aggregate.report()
+
+
+MIX = (("jskernel", 0.5), ("tor", 0.3), ("legacy-chrome", 0.2))
+
+
+def _scan(size, seed, visits=1, mix=None):
+    return [
+        [rank, "" if mix is None else config_for_rank(rank, seed, mix), visit]
+        for rank in range(size)
+        for visit in range(visits)
+    ]
+
+
+def _session_visits(size, seed, sessions):
+    model = PopulationModel(size=size, seed=seed)
+    return [
+        [rank, session.config, session.index * 131 + visit]
+        for session in session_stream(model, count=sessions)
+        for visit, rank in enumerate(session.pages)
+    ]
+
+
+SIZE = PAGE_BLOCK + 45  # one full block and one short one
+
+
+@pytest.mark.parametrize("parallel", [None, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize(
+    "kwargs,visits",
+    [
+        ({}, _scan(SIZE, 6)),
+        ({"visits": 2}, _scan(SIZE, 6, visits=2)),
+        ({"browser_mix": MIX}, _scan(SIZE, 6, mix=MIX)),
+        ({"sessions": 90}, _session_visits(SIZE, 6, 90)),
+    ],
+    ids=["scan", "visits", "mix", "sessions"],
+)
+def test_sweep_equals_a_direct_fold_of_its_pages(kwargs, visits, parallel):
+    report = population_sweep(SIZE, seed=6, parallel=parallel, **kwargs)
+    expected = _direct_fold(visits, 6, SIZE)
+    assert report["computed"] == math.ceil(len(visits) / PAGE_BLOCK)
+    for key in ("size", "seed", "mode", "sessions", "computed", "cache_hits"):
+        report.pop(key)
+    assert report == expected
+    assert report["pages"] == len(visits) > PAGE_BLOCK
+
+
+def test_pool_sweep_fans_blocks_out_over_several_shards():
+    with telemetry_session("population") as telem:
+        report = population_sweep(2 * PAGE_BLOCK + 1, seed=0, parallel=2)
+    assert report["computed"] == 3
+    assert telem.shards["total"] > 1
+
+
+def test_a_failing_block_is_one_error_and_its_pages_stay_counted(monkeypatch):
+    run_page = population.run_population_page
+
+    def poisoned(rank, *args, **kwargs):
+        if rank == PAGE_BLOCK + 3:
+            raise RuntimeError("poisoned page")
+        return run_page(rank, *args, **kwargs)
+
+    monkeypatch.setattr(population, "run_population_page", poisoned)
+    size = 2 * PAGE_BLOCK + 10
+    report = population_sweep(size, seed=0)
+    assert report["failed_pages"] == PAGE_BLOCK
+    assert report["pages"] + report["failed_pages"] == size
+    assert report["computed"] == 3
+    [line] = report["errors"]
+    assert line.startswith("population(") and "RuntimeError: poisoned page" in line
+    assert sum(c["count"] for c in report["configs"].values()) == report["pages"]
+
+
+def test_a_block_label_stays_one_short_line():
+    cell = next(population.population_cells(10 * PAGE_BLOCK, seed=0))
+    assert len(cell.params["pages"]) == PAGE_BLOCK
+    label = cell.label()
+    assert len(label) < 200 and "\n" not in label
+    assert label.startswith("population(mode='model', pages=[[0, '', 0], ")
+    assert label.endswith("...], seed=0, size=2560)")
+
+
 def test_aggregate_caps_the_error_list():
     class Boom:
         def __init__(self, i):
             self.ok = False
             self.cached = False
             self.error = "boom"
-            self.cell = type("C", (), {"label": lambda self: f"cell-{i}"})()
+            self.cell = type("C", (), {
+                "label": lambda self: f"cell-{i}",
+                "params": {"pages": [[i, "", 0], [i, "", 1]]},
+            })()
 
     aggregate = PopulationAggregate(max_errors=3)
     for i in range(10):
@@ -193,6 +325,7 @@ def test_aggregate_caps_the_error_list():
     assert len(report["errors"]) == 3
     assert report["error_overflow"] == 7
     assert report["pages"] == 0
+    assert report["failed_pages"] == 20
 
 
 # ----------------------------------------------------------------------
@@ -202,12 +335,12 @@ def test_aggregate_caps_the_error_list():
 def test_sweep_resident_state_is_bounded_independent_of_population_size(
     monkeypatch, parallel, window
 ):
-    """The sweep holds at most the engine's window of cells, and its
+    """The sweep holds at most the engine's window of blocks, and its
     aggregate's size does not scale with the page count."""
-    pages = 8_000
-    # a serial stream holds one cell; a pool at most ``window`` chunks
-    # in flight plus one chunk being filled
-    bound = (window + 1) * ExperimentEngine.STREAM_CHUNK if parallel else 1
+    pages = 32 * PAGE_BLOCK
+    # a serial stream holds one block; a pool ships one block per chunk
+    # and holds at most ``window`` of them in flight plus one being drained
+    bound = (window + 1) * PAGE_BLOCK if parallel else PAGE_BLOCK
     pulled = 0
     sizes = {}
     population_cells = population.population_cells
@@ -215,7 +348,7 @@ def test_sweep_resident_state_is_bounded_independent_of_population_size(
     def counted_cells(*args, **kwargs):
         nonlocal pulled
         for cell in population_cells(*args, **kwargs):
-            pulled += 1
+            pulled += len(cell.params["pages"])
             yield cell
 
     class WatchedAggregate(PopulationAggregate):

@@ -9,12 +9,27 @@ iterator — the property the population sweeps and fuzz campaigns rest on.
 import json
 
 from repro.harness import Cell, ExperimentEngine, ResultCache
+from repro.harness.parallel import cell_kind
+from repro.runtime.rng import hash_seed
 from repro.trace import Tracer, capture
-from repro.workloads.population import population_cells
+
+
+@cell_kind("stream-probe")
+def run_probe_cell(index: int, seed: int = 0, fail: bool = False) -> dict:
+    """A cheap one-item cell: the engine tests count cells, not pages."""
+    if fail:
+        raise ValueError(f"bogus probe cell {index}")
+    return {"index": index, "value": hash_seed(seed, f"probe:{index}")}
+
+
+def probe_cells(n, seed=0):
+    """Lazily yield ``n`` probe cells."""
+    for index in range(n):
+        yield Cell("stream-probe", {"index": index, "seed": seed})
 
 
 def cells_for(n, seed=0):
-    return list(population_cells(n, seed=seed))
+    return list(probe_cells(n, seed=seed))
 
 
 def as_json(results):
@@ -36,7 +51,7 @@ class CountingCells:
     """A cell iterator that counts how far the consumer pulled it."""
 
     def __init__(self, n, seed=0):
-        self.source = population_cells(n, seed=seed)
+        self.source = probe_cells(n, seed=seed)
         self.pulled = 0
 
     def __iter__(self):
@@ -65,8 +80,7 @@ def test_stream_equals_run_with_a_pool():
 
 
 def test_stream_counts_errors_per_cell_without_dying():
-    batch = cells_for(5) + [Cell("population", {"rank": 0, "seed": 0, "size": 5,
-                                                "mode": "bogus"})]
+    batch = cells_for(5) + [Cell("stream-probe", {"index": 5, "fail": True})]
     engine = ExperimentEngine()
     results = list(engine.stream(iter(batch)))
     assert [r.ok for r in results] == [True] * 5 + [False]
@@ -136,8 +150,8 @@ def test_pool_stream_preserves_order_with_mixed_hits_and_misses(tmp_path):
 
     engine = ExperimentEngine(workers=2, chunk_size=2, cache=ResultCache(tmp_path))
     results = list(engine.stream(iter(batch)))
-    assert [r.cell.params["rank"] for r in results] == [
-        c.params["rank"] for c in batch
+    assert [r.cell.params["index"] for r in results] == [
+        c.params["index"] for c in batch
     ]
     assert engine.cache_hits == 10 and engine.computed == 10
     assert as_json(results) == as_json(ExperimentEngine().run(batch))
