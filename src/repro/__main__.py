@@ -558,7 +558,8 @@ def _cmd_cube(args) -> None:
     _arg("--visits", type=_int(1), metavar="N", default=1, help="visits per page"),
     _arg("--sessions", type=_int(1), metavar="N", help="user sessions instead of a rank scan"),
     _arg("--window", type=_int(1), metavar="N",
-         help="engine in-flight window, in 256-page blocks"),
+         help="engine in-flight window, in cells: 256-page blocks in model mode, "
+              "single pages in sim mode"),
     _JSON,
     _OUT,
     experiment=True,

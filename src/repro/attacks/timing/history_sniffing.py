@@ -13,6 +13,14 @@ The adversary reads the delay through two implicit channels at once
   a parallel worker floods postMessage and the count of deliveries
   between consecutive frames measures the gap without any clock API,
   defeating coarse clamps (Tor's 100 ms).
+
+The probe is :data:`LINK_COUNT` links to the target, built in one task:
+each link is a ``createElement("a")`` (costed), gets its ``href`` by a
+raw attribute write, and all of them go under ``<body>`` in one silent
+batch (``body._insert(*links)``: no cost, no trace event), then one
+``mark_dirty`` invalidates the frame that resolves their style.  The
+batch is what keeps this row cheap to simulate: 192 trials per Table I
+run build 422k links.
 """
 
 from __future__ import annotations
@@ -60,11 +68,10 @@ class HistorySniffingAttack(TimingAttack):
                 timestamps.append(timestamp)
                 counts.append(flood.read())
                 if index == 1:
-                    body = document.body
-                    for _ in range(LINK_COUNT):
-                        link = document.create_element("a")
+                    links = [document.create_element("a") for _ in range(LINK_COUNT)]
+                    for link in links:
                         link.attributes["href"] = TARGET_URL  # bulk, silent
-                        body._insert(link)
+                    document.body._insert(*links)
                     document.mark_dirty()
                 if index + 1 < FRAMES:
                     scope.requestAnimationFrame(frame)

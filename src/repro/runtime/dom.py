@@ -21,7 +21,8 @@ experiments need:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..trace import state_access
@@ -34,32 +35,50 @@ APPEND_CHILD_COST = 900
 ATTRIBUTE_ACCESS_COST = 150
 
 
+#: Shared empty defaults of the two containers an element allocates on
+#: first write, so an element that never gets children or a style owns
+#: neither.
+_NO_CHILDREN: Tuple["Element", ...] = ()
+_NO_STYLE: Mapping[str, str] = MappingProxyType({})
+
+
 class Element:
-    """One DOM element."""
+    """One DOM element.
+
+    A ``<a href>`` link is the element built most (history sniffing makes
+    2,200 per trial), so an instance holds only what a link uses: the
+    slots below.  ``children`` starts as the shared empty tuple and gets
+    its own list on the first insert, so a leaf is one GC-tracked object.
+    The fields most tags never write (``style``, ``text``, ``payload``,
+    ``onload``/``onerror``, the pending paint cost) are class-level
+    defaults; the first write stores them in the instance ``__dict__``,
+    which only then is allocated.
+    """
 
     __slots__ = (
-        "trace_id", "document", "tag", "attributes", "style", "children", "parent",
-        "text", "onload", "onerror", "matched_visited", "payload",
-        "_pending_paint_cost", "_connected",
+        "trace_id", "document", "tag", "attributes", "parent", "children",
+        "matched_visited", "_connected", "__dict__",
     )
+
+    #: ``el.style``; :meth:`set_style` gives the element its own dict.
+    style: Mapping[str, str] = _NO_STYLE
+    text = ""
+    onload: Optional[Callable[..., None]] = None
+    onerror: Optional[Callable[..., None]] = None
+    #: Arbitrary payload for simulated media/image elements.
+    payload: Any = None
+    _pending_paint_cost = 0
 
     def __init__(self, document: "Document", tag: str):
         # restarts per run, so captures stay byte-identical
-        self.trace_id = document.sim.next_object_seq("dom")
+        self.trace_id = document._next_id()
         self.document = document
         self.tag = tag.lower()
         self.attributes: Dict[str, str] = {}
-        self.style: Dict[str, str] = {}
-        self.children: List["Element"] = []
         self.parent: Optional["Element"] = None
-        self.text = ""
-        self.onload: Optional[Callable[..., None]] = None
-        self.onerror: Optional[Callable[..., None]] = None
+        self.children: Sequence["Element"] = _NO_CHILDREN
         #: Set on <a>/<link> elements by style recalc (history sniffing).
         self.matched_visited = False
-        #: Arbitrary payload for simulated media/image elements.
-        self.payload: Any = None
-        self._pending_paint_cost = 0
         #: Maintained by :meth:`Document._set_connected`; read via ``connected``.
         self._connected = False
 
@@ -105,7 +124,10 @@ class Element:
         """``el.style.prop = value``."""
         self.document.sim.consume(ATTRIBUTE_ACCESS_COST)
         self._trace_mutation("set_style")
-        self.style[prop] = value
+        style = self.style
+        if style is _NO_STYLE:
+            style = self.style = {}
+        style[prop] = value
         self.document.mark_dirty()
 
     def append_child(self, child: "Element") -> "Element":
@@ -126,19 +148,35 @@ class Element:
             self.document.begin_resource_load(child)
         return child
 
-    def _insert(self, child: "Element") -> None:
-        """Attach ``child`` last, keeping the document's indexes exact.
+    def _insert(self, *nodes: "Element") -> None:
+        """Attach ``nodes`` last, in order, keeping the document's indexes exact.
 
-        Silent: no cost, no trace event, no ``mark_dirty``.  Public
-        mutations add those around it; bulk page builders call it alone.
+        The one insert path: equal to inserting the nodes one at a time,
+        with the subtrees that change state flipped in one
+        :meth:`Document._set_connected` pass.  A node leaving another parent
+        may sit in a subtree still waiting for that pass, so it flushes the
+        pass first.  Silent: no cost, no trace event, no ``mark_dirty``.
+        Public mutations add those around it; bulk page builders call it
+        alone.
         """
-        old_parent = child.parent
-        if old_parent is not None:
-            old_parent.children.remove(child)
-        child.parent = self
-        self.children.append(child)
-        if child._connected != self._connected:
-            self.document._set_connected(child, self._connected)
+        children = self.children
+        if children is _NO_CHILDREN:
+            children = self.children = []
+        connected = self._connected
+        flips: List[Element] = []
+        for node in nodes:
+            old_parent = node.parent
+            if old_parent is not None:
+                if flips:
+                    self.document._set_connected(flips, connected)
+                    flips = []
+                old_parent.children.remove(node)
+            node.parent = self
+            children.append(node)
+            if node._connected != connected:
+                flips.append(node)
+        if flips:
+            self.document._set_connected(flips, connected)
 
     def _has_ancestor(self, node: "Element") -> bool:
         ancestor = self.parent
@@ -157,7 +195,7 @@ class Element:
         self.children.remove(child)
         child.parent = None
         if child._connected:
-            self.document._set_connected(child, False)
+            self.document._set_connected((child,), False)
         self.document.mark_dirty()
         return child
 
@@ -171,7 +209,7 @@ class Element:
     # ------------------------------------------------------------------
     def descendants(self):
         """Depth-first, document-order iterator over the subtree (excluding self)."""
-        stack = self.children[::-1]
+        stack = list(reversed(self.children))
         while stack:
             node = stack.pop()
             yield node
@@ -210,6 +248,10 @@ class Document:
 
     def __init__(self, sim):
         self.sim = sim
+        #: The run's ``"dom"`` id stream, bound once (see :class:`Element`).
+        self._next_id = sim.object_seq_stream("dom")
+        #: The simulator's frame stack, so a create charges its frame directly.
+        self._frames = sim._frames
         #: Number of connected elements (root included).
         self.connected_count = 0
         #: Every connected ``<a>``, with or without an ``href`` (ordered set).
@@ -217,7 +259,7 @@ class Document:
         #: Elements whose ``pending_paint_cost`` is non-zero, connected or not.
         self.paint_pending: Dict[Element, None] = {}
         self.document_element = Element(self, "html")
-        self._set_connected(self.document_element, True)
+        self._set_connected((self.document_element,), True)
         self.body = self.create_element("body")
         self.document_element._insert(self.body)
         self.dirty = True
@@ -228,7 +270,9 @@ class Document:
     # ------------------------------------------------------------------
     def create_element(self, tag: str) -> Element:
         """``document.createElement(tag)``."""
-        self.sim.consume(CREATE_ELEMENT_COST)
+        frames = self._frames
+        if frames:
+            frames[-1].consume(CREATE_ELEMENT_COST)
         return Element(self, tag)
 
     def get_elements_by_tag(self, tag: str) -> List[Element]:
@@ -237,11 +281,15 @@ class Document:
         root = self.document_element
         return [el for el in (root, *root.descendants()) if el.tag == tag]
 
-    def _set_connected(self, root: Element, connected: bool) -> None:
-        """Flip ``root``'s subtree in or out of the tree and its indexes."""
+    def _set_connected(self, roots: Sequence[Element], connected: bool) -> None:
+        """Flip each root's subtree in or out of the tree and its indexes.
+
+        Roots are walked in order, each subtree whole before the next, so
+        ``anchors`` gets the order one call per root would give it.
+        """
         anchors = self.anchors
         count = 0
-        stack = [root]
+        stack = list(reversed(roots))
         while stack:
             node = stack.pop()
             node._connected = connected
@@ -251,26 +299,29 @@ class Document:
                     anchors[node] = None
                 else:
                     del anchors[node]
-            stack.extend(node.children)
+            if node.children:
+                stack.extend(node.children)
         self.connected_count += count if connected else -count
 
     def release(self) -> None:
         """Tear the tree down to its bare root (``Browser.close``).
 
-        Cuts every ``parent``/``children`` edge below the root, so a dead
-        tree is freed by reference counting rather than by the cyclic GC,
-        and leaves a valid, empty document: no anchors, no pending paint,
-        ``connected_count == 1``.  Silent: no cost, no trace event.
+        Empties every ``children`` list below the root, so a dead tree is
+        freed by reference counting rather than by the cyclic GC, and
+        leaves a valid, empty document: every former node detached, no
+        anchors, no pending paint, ``connected_count == 1``.  Only parents
+        go on the walk's stack; a leaf just has its two fields reset.
+        Silent: no cost, no trace event.
         """
-        root = self.document_element
-        stack = root.children[:]
-        root.children.clear()
+        stack = [self.document_element]
         while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            node.children.clear()
-            node.parent = None
-            node._connected = False
+            children = stack.pop().children
+            for node in children:
+                node.parent = None
+                node._connected = False
+                if node.children:
+                    stack.append(node)
+            children.clear()
         for element in self.paint_pending:
             element._pending_paint_cost = 0
         self.paint_pending.clear()

@@ -172,13 +172,22 @@ class Renderer:
         if document.dirty:
             cost += document.connected_count * (costs.style_per_node + costs.layout_per_node)
             # visited-link style resolution (history sniffing channel); href
-            # is read now, so raw attribute writes count too
+            # is read now, so raw attribute writes count too.  The history
+            # is asked once per distinct href in the frame.
             visited_fn = self.visited_fn
+            visited: Dict[str, bool] = {}
+            matched = 0
             for anchor in document.anchors:
                 href = anchor.attributes.get("href")
-                if href is not None and visited_fn(href):
+                if href is None:
+                    continue
+                hit = visited.get(href)
+                if hit is None:
+                    hit = visited[href] = visited_fn(href)
+                if hit:
                     anchor.matched_visited = True
-                    cost += costs.visited_style_extra
+                    matched += 1
+            cost += matched * costs.visited_style_extra
         # pending paint effects (SVG filters, expensive canvases, ...);
         # detached elements keep theirs until they are attached
         for element in [el for el in document.paint_pending if el._connected]:

@@ -27,10 +27,11 @@ tasks sequentially.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimulationError
 from ..trace import current_tracer
@@ -194,7 +195,7 @@ class Simulator:
         # per-run deterministic id streams for objects (DOM nodes,
         # shared buffers, workers, kthreads...) — process-global counters
         # would break the byte-identical-capture guarantee
-        self._object_seqs: dict = {}
+        self._object_seqs: Dict[str, Callable[[], int]] = {}
         # label/ordinal of the scheduled call currently dispatching, for
         # attributing frameless (native) work in traces
         self._dispatch_label = "init"
@@ -272,11 +273,17 @@ class Simulator:
             return self._frames[-1].thread_name
         return self.native_context
 
+    def object_seq_stream(self, prefix: str) -> Callable[[], int]:
+        """The per-run ``prefix`` id stream: each call returns its next id
+        (1-based, deterministic).  A hot caller binds it once."""
+        stream = self._object_seqs.get(prefix)
+        if stream is None:
+            stream = self._object_seqs[prefix] = itertools.count(1).__next__
+        return stream
+
     def next_object_seq(self, prefix: str) -> int:
         """Next id in the per-run ``prefix`` stream (1-based, deterministic)."""
-        seq = self._object_seqs.get(prefix, 0) + 1
-        self._object_seqs[prefix] = seq
-        return seq
+        return self.object_seq_stream(prefix)()
 
     # ------------------------------------------------------------------
     # scheduling

@@ -36,7 +36,8 @@ site description (network + parse + DOM + script-task terms with a
 seeded ±5% jitter).  The model mode is ~1000x cheaper per page and is
 what makes million-page population statistics practical.  At that
 price the engine's per-cell bookkeeping would rival the page itself,
-so a ``"population"`` cell is a block of :data:`PAGE_BLOCK` page visits.
+so a model-mode ``"population"`` cell is a block of :data:`PAGE_BLOCK`
+page visits; a sim-mode cell is one visit.
 
 Aggregation is sketch-only: :class:`PopulationAggregate` folds each
 result into per-config and per-archetype
@@ -159,14 +160,38 @@ def _uniform(seed: int, label: str) -> float:
     return (acc >> 11) / float(1 << 53)
 
 
+#: ``id(mix) -> (mix, total, bounds)`` for :func:`_weighted`.  Keyed by
+#: identity, not equality: equal mixes of int and float shares may sum
+#: apart.  Holding the mix keeps its id from being reused.
+_CUMULATIVE: Dict[int, tuple] = {}
+_CUMULATIVE_LIMIT = 64
+
+
+def _cumulative(choices: Tuple[Tuple[str, float], ...]) -> tuple:
+    """A mix's total share and its left-to-right running sums, each with
+    the name it closes: the float additions a pick used to redo per call."""
+    entry = _CUMULATIVE.get(id(choices))
+    if entry is None or entry[0] is not choices:
+        total = sum(share for _name, share in choices)
+        acc = 0.0
+        bounds = []
+        for name, share in choices:
+            acc += share
+            bounds.append((acc, name))
+        if len(_CUMULATIVE) >= _CUMULATIVE_LIMIT:
+            _CUMULATIVE.clear()
+        entry = _CUMULATIVE[id(choices)] = (choices, total, tuple(bounds))
+    return entry
+
+
 def _weighted(seed: int, label: str, choices: Sequence[Tuple[str, float]]) -> str:
     """Seeded weighted pick — pure per ``(seed, label)``."""
-    total = sum(share for _name, share in choices)
+    if type(choices) is not tuple:  # a mutable mix is summed afresh
+        choices = tuple(choices)
+    _mix, total, bounds = _cumulative(choices)
     point = _uniform(seed, label) * total
-    acc = 0.0
-    for name, share in choices:
-        acc += share
-        if point < acc:
+    for bound, name in bounds:
+        if point < bound:
             return name
     return choices[-1][0]
 
@@ -388,24 +413,29 @@ def run_population_page(
 # ----------------------------------------------------------------------
 # cells + bounded-memory aggregation
 # ----------------------------------------------------------------------
-#: Page visits per ``"population"`` cell.  A block, not a page, is the
-#: unit the engine admits, caches and ships to a worker, so the engine's
-#: per-cell bookkeeping is paid once per block of closed-form pages.
+#: Page visits per model-mode ``"population"`` cell.  A block, not a
+#: page, is the unit the engine admits, caches and ships to a worker, so
+#: the engine's per-cell bookkeeping is paid once per block of
+#: closed-form pages.  A sim-mode page runs a whole simulated browser and
+#: dwarfs that bookkeeping, so a sim-mode cell carries one visit and a
+#: short sweep still spreads over every worker.
 PAGE_BLOCK = 256
 
 
 def _blocks(visits: Iterator[list], seed: int, size: int, mode: str):
-    """Chunk a ``[rank, config, visit]`` stream into ``"population"`` cells
-    of :data:`PAGE_BLOCK` visits each (the last block may be short)."""
+    """Chunk a ``[rank, config, visit]`` stream into ``"population"`` cells:
+    :data:`PAGE_BLOCK` visits each in model mode (the last block may be
+    short), one visit each in sim mode."""
     from ..harness.parallel import Cell
 
     def cell(pages: list):
         return Cell("population", {"seed": seed, "size": size, "mode": mode, "pages": pages})
 
+    block = PAGE_BLOCK if mode == "model" else 1
     pages: list = []
     for visit in visits:
         pages.append(visit)
-        if len(pages) == PAGE_BLOCK:
+        if len(pages) == block:
             yield cell(pages)
             pages = []
     if pages:
@@ -421,8 +451,8 @@ def population_cells(
 ):
     """Lazily generate the uniform rank scan as ``"population"`` cells.
 
-    Each cell is a block of :data:`PAGE_BLOCK` ``[rank, config, visit]``
-    visits, ``visits`` per rank in rank order.  A generator,
+    Each cell is a block of ``[rank, config, visit]`` visits (see
+    :func:`_blocks`), ``visits`` per rank in rank order.  A generator,
     deliberately: feeding it to
     :meth:`~repro.harness.parallel.ExperimentEngine.stream` keeps the
     resident cell count bounded by the stream window no matter how
@@ -557,7 +587,8 @@ def population_sweep(
     state is the engine's in-flight window of blocks plus the
     aggregate's sketches, independent of ``size``.  A pool ships one
     block per chunk.  ``pages``, ``failed_pages`` and ``cached`` count
-    page visits; ``computed`` and ``cache_hits`` count blocks (cells).
+    page visits; ``computed`` and ``cache_hits`` count blocks (cells),
+    which in sim mode are single visits.
     """
     from ..harness.parallel import ExperimentEngine
 

@@ -12,12 +12,16 @@ import pytest
 
 from repro.attacks.timing.history_sniffing import HistorySniffingAttack
 from repro.defenses import TABLE1_DEFENSES, make_browser
-from repro.runtime.dom import Element
+from repro.runtime.dom import Document, Element
+from repro.runtime.simulator import ExecutionFrame, Simulator
 from repro.trace import capture
 
 #: Elements a closed page may leave to the cyclic GC: its root and
 #: ``<body>``, which stay in a cycle with their Document.
 CYCLIC_ELEMENTS_BOUND = 10
+#: GC-tracked objects a batch of links may add beyond one per link: the
+#: batch list, ``<body>``'s first children list, the anchors index.
+LINK_BATCH_TRACKED_SLACK = 8
 
 
 @pytest.mark.parametrize("defense", TABLE1_DEFENSES)
@@ -64,3 +68,27 @@ def test_close_is_silent_in_time_and_trace_and_idempotent():
         assert document.node_count() == 1
         assert not document.anchors and not document.paint_pending
         assert document.body.parent is None and not document.body.connected
+
+
+def test_a_link_adds_one_gc_tracked_object():
+    # a leaf's containers are shared until written, so each link is one
+    # object for the cyclic GC to scan, not two
+    sim = Simulator()
+    document = Document(sim)
+    sim.push_frame(ExecutionFrame(0, "t"))
+    count = 1_000
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        links = [document.create_element("a") for _ in range(count)]
+        for link in links:
+            link.attributes["href"] = "https://a.example/"
+        document.body._insert(*links)
+        added = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert document.node_count() == count + 2 and len(document.anchors) == count
+    assert count <= added <= count + LINK_BATCH_TRACKED_SLACK

@@ -1,7 +1,7 @@
 """Unit tests for the DOM substrate and the indexes it maintains."""
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
@@ -157,7 +157,7 @@ def test_append_child_rejects_the_root_the_parent_and_its_ancestors():
     assert (frame.elapsed, len(tracer), doc.dirty) == (elapsed, events, False)
     assert doc.serialize() == shape
     assert doc.body.connected and doc.node_count() == 4
-    assert detached.children == [] and doc.document_element.parent is None
+    assert not detached.children and doc.document_element.parent is None
 
 
 def test_silent_insert_keeps_the_indexes_without_cost_trace_or_dirt():
@@ -169,6 +169,67 @@ def test_silent_insert_keeps_the_indexes_without_cost_trace_or_dirt():
     assert (frame.elapsed, len(tracer), doc.dirty) == (elapsed, events, False)
     assert link.parent is doc.body and link.connected
     assert doc.node_count() == 3 and list(doc.anchors) == [link]
+
+
+def _forest(ops):
+    """A document and every element built by ``ops``, ids as attributes.
+
+    Each op creates an element and inserts it under an earlier element,
+    in the tree or detached, or leaves it detached (``None``).
+    """
+    doc = Document(Simulator())
+    elements = [doc.document_element, doc.body]
+    for tag, parent in ops:
+        element = doc.create_element(tag)
+        element.attributes["id"] = str(len(elements))
+        if parent is not None:
+            elements[parent % len(elements)]._insert(element)
+        elements.append(element)
+    return doc, elements
+
+
+def _forest_state(doc, elements):
+    """Everything an insert may change, in comparable form."""
+    return (
+        doc.serialize(),
+        doc.connected_count,
+        [anchor.trace_id for anchor in doc.anchors],
+        [
+            (
+                element.trace_id,
+                element.connected,
+                None if element.parent is None else element.parent.trace_id,
+                [child.trace_id for child in element.children],
+            )
+            for element in elements
+        ],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["a", "a", "div"]), st.none() | st.integers(0, 40)),
+        max_size=16,
+    ),
+    parent=st.integers(0, 40),
+    picks=st.lists(st.integers(1, 40), max_size=6),
+)
+def test_batch_insert_equals_one_by_one_inserts(ops, parent, picks):
+    with capture() as tracer:
+        batch_doc, batch = _forest(ops)
+        single_doc, single = _forest(ops)
+    assert _forest_state(batch_doc, batch) == _forest_state(single_doc, single)
+    index = parent % len(batch)
+    chosen = [pick % len(batch) for pick in picks]
+    assume(not any(_hierarchy_error(batch[index], batch[i]) for i in chosen))
+    events = len(tracer)
+
+    batch[index]._insert(*[batch[i] for i in chosen])
+    for i in chosen:
+        single[index]._insert(single[i])
+    assert len(tracer) == events  # silent
+    assert _forest_state(batch_doc, batch) == _forest_state(single_doc, single)
 
 
 def test_deep_trees_are_walked_without_recursion(doc):
@@ -276,6 +337,16 @@ class DomIndexMachine(RuleBasedStateMachine):
     def silent_insert(self, parent, child):
         if not _hierarchy_error(parent, child):
             parent._insert(child)
+
+    @rule(parent=elements, nodes=st.lists(elements, max_size=5))
+    def silent_insert_many(self, parent, nodes):
+        # nodes may have parents, in the tree or in detached subtrees, and
+        # may sit inside an earlier node of the same batch
+        if not any(_hierarchy_error(parent, node) for node in nodes):
+            parent._insert(*nodes)
+            if nodes:
+                assert parent.children[-1] is nodes[-1]
+            assert all(node.parent is parent for node in nodes)
 
     @rule(parent=elements, child=elements)
     def remove_child(self, parent, child):

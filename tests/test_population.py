@@ -119,6 +119,37 @@ def test_sim_mode_runs_the_simulator_and_stays_deterministic():
 # ----------------------------------------------------------------------
 # the rank distribution
 # ----------------------------------------------------------------------
+def _reference_weighted(seed, label, choices):
+    """The pick as first written: the shares re-summed on every call."""
+    total = sum(share for _name, share in choices)
+    point = population._uniform(seed, label) * total
+    acc = 0.0
+    for name, share in choices:
+        acc += share
+        if point < acc:
+            return name
+    return choices[-1][0]
+
+
+_SHARES = st.integers(0, 50) | st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    label=st.text(max_size=24),
+    mix=st.lists(st.tuples(st.text(min_size=1, max_size=8), _SHARES), min_size=1, max_size=8),
+)
+def test_weighted_pick_equals_the_resumming_formula(seed, label, mix):
+    expected = _reference_weighted(seed, label, mix)
+    assert population._weighted(seed, label, mix) == expected
+    mix = tuple(mix)
+    assert population._weighted(seed, label, mix) == expected
+    assert population._weighted(seed, label, mix) == expected  # from the cache
+
+
+
+
 def test_band_boundaries():
     assert band_for_rank(0, 1000) == "head"
     assert band_for_rank(9, 1000) == "head"
@@ -276,6 +307,16 @@ def test_pool_sweep_fans_blocks_out_over_several_shards():
     with telemetry_session("population") as telem:
         report = population_sweep(2 * PAGE_BLOCK + 1, seed=0, parallel=2)
     assert report["computed"] == 3
+    assert telem.shards["total"] > 1
+
+
+def test_pool_sim_sweep_fans_single_visits_out_over_several_shards():
+    # a sim-mode cell is one visit, so a short sweep still feeds every worker
+    serial = population_sweep(20, seed=0, mode="sim")
+    with telemetry_session("population") as telem:
+        pooled = population_sweep(20, seed=0, mode="sim", parallel=2)
+    assert pooled == serial
+    assert pooled["computed"] == pooled["pages"] == 20
     assert telem.shards["total"] > 1
 
 
