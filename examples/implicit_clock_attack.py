@@ -53,7 +53,7 @@ def measure(image: SimImage, with_kernel: bool) -> int:
         scope.setTimeout(lambda: scope.requestAnimationFrame(frame), 8)
 
     page.run_script(attack)
-    browser.run_until(lambda: "count" in result)
+    browser.run(stop=lambda: "count" in result)
     return result["count"]
 
 

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.distinguish import best_threshold_accuracy, distinguishable
 from ..defenses import make_browser
-from ..errors import BrowserCrash, ReproError, SecurityError
+from ..errors import BrowserCrash, DeadlockError, ReproError, SecurityError
 from ..runtime.browser import Browser
 from ..runtime.page import Page
 from ..runtime.rng import hash_seed
@@ -66,17 +66,20 @@ class AttackResult:
 
 
 def run_until_key(browser: Browser, box: dict, key: str, timeout_ms: float = 3_000) -> Any:
-    """Advance the simulation until ``box[key]`` appears (or time out)."""
-    deadline = browser.sim.dispatch_time + ms(timeout_ms)
-    while key not in box:
-        if browser.sim.dispatch_time >= deadline:
-            raise MeasurementTimeout(
-                f"no {key!r} within {timeout_ms} ms of virtual time"
-            )
-        if not browser.sim.step():
-            if key in box:
-                break
-            raise MeasurementTimeout(f"simulation drained without {key!r}")
+    """Advance the simulation until ``box[key]`` appears (or time out).
+
+    The deadline is part of the stop predicate, not ``run``'s ``until``:
+    the one event that crosses the deadline is still dispatched, and a
+    key it sets is returned.
+    """
+    sim = browser.sim
+    deadline = sim.dispatch_time + ms(timeout_ms)
+    try:
+        sim.run(stop=lambda: key in box or sim.dispatch_time >= deadline)
+    except DeadlockError:
+        raise MeasurementTimeout(f"simulation drained without {key!r}") from None
+    if key not in box:
+        raise MeasurementTimeout(f"no {key!r} within {timeout_ms} ms of virtual time")
     return box[key]
 
 

@@ -78,5 +78,5 @@ class ClockEdgeAttack(TimingAttack):
             box["measurement"] = count * op_ms
 
         page.run_script(attack)
-        browser.run_until(lambda: "measurement" in box)
+        browser.run(stop=lambda: "measurement" in box)
         return float(box["measurement"])

@@ -33,7 +33,7 @@ def _render_dom(config: str, site: SiteDescription, seed: int) -> str:
     with closing(make_browser(config, seed=seed, with_bugs=False)) as browser:
         page = browser.open_page(site.url)
         load_site(browser, site, page=page)
-        browser.run_until(lambda: page.loaded)
+        browser.run(stop=lambda: page.loaded)
         # let post-load scripts settle a little
         browser.run(until=browser.sim.dispatch_time + 50_000_000)
         return page.document.serialize()
@@ -109,7 +109,7 @@ def _regression_worker_relative_path(browser, page) -> bool:
         worker.onmessage = lambda event: box.__setitem__("result", event.data)
 
     page.run_script(script)
-    browser.run_until(lambda: "result" in box)
+    browser.run(stop=lambda: "result" in box)
     return box["result"] == "pdf-ready"
 
 
@@ -124,7 +124,7 @@ def _regression_date_weekday(browser, page) -> bool:
         box["result"] = (in_a_week - now) % (7 * day_ms) == 0
 
     page.run_script(script)
-    browser.run_until(lambda: "result" in box)
+    browser.run(stop=lambda: "result" in box)
     return box["result"]
 
 
@@ -140,7 +140,7 @@ def _regression_worker_location(browser, page) -> bool:
         worker.onmessage = lambda event: box.__setitem__("location", event.data)
 
     page.run_script(script)
-    browser.run_until(lambda: "location" in box)
+    browser.run(stop=lambda: "location" in box)
     # the bug was the location pointing at the KERNEL worker source
     return "kernel" not in box["location"].lower()
 

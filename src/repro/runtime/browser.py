@@ -134,12 +134,11 @@ class Browser:
     # ------------------------------------------------------------------
     # simulation control
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
-        """Advance the simulation (see :meth:`Simulator.run`)."""
-        self.sim.run(until=until, max_events=max_events)
-
-    def run_until(
-        self, predicate: Callable[[], bool], max_events: Optional[int] = None
+    def run(
+        self,
+        until: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        max_events: Optional[int] = None,
     ) -> None:
-        """Advance until ``predicate()`` holds (see :meth:`Simulator.run_until`)."""
-        self.sim.run_until(predicate, max_events=max_events)
+        """Advance the simulation (see :meth:`Simulator.run`)."""
+        self.sim.run(until=until, stop=stop, max_events=max_events)

@@ -46,7 +46,7 @@ _NO_BOUND = float("inf")
 #: Environment variable overriding the default runaway-loop backstop.
 MAX_EVENTS_ENV = "REPRO_MAX_EVENTS"
 
-#: Built-in runaway-experiment backstop (events per run/run_until call).
+#: Built-in runaway-experiment backstop (events per :meth:`Simulator.run` call).
 DEFAULT_MAX_EVENTS = 50_000_000
 
 #: How many recently dispatched labels a SimulationError reports.
@@ -320,37 +320,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[ScheduledCall]:
-        """Pop the earliest live call (``None`` if drained)."""
-        heap = self._heap
-        while heap:
-            call = _heappop(heap)[2]
-            if not call.cancelled:
-                return call
-        return None
-
-    def _dispatch(self, call: ScheduledCall) -> None:
-        """Dispatch bookkeeping shared by :meth:`step` / :meth:`run_until`."""
-        self._time = call.time
-        self._live -= 1
-        call.sim = None
-        n = self.events_processed + 1
-        self.events_processed = n
-        label = call.label or "call"
-        self._dispatch_label = label
-        self._dispatch_ordinal = n
-        self._recent_labels.append(label)
-        call.fn()
-
     def step(self) -> bool:
         """Dispatch the single earliest pending event.
 
         Returns ``False`` when no events remain.
         """
-        call = self._pop_next()
-        if call is None:
+        if not self._live:
             return False
-        self._dispatch(call)
+        n = self.events_processed
+        self.run(stop=lambda: self.events_processed > n)
         return True
 
     def recent_dispatch_context(self) -> str:
@@ -359,15 +337,25 @@ class Simulator:
             return "(nothing dispatched yet)"
         return " -> ".join(self._recent_labels)
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue empties or the next live event is past ``until``.
+    def run(
+        self,
+        until: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """Dispatch events in order until one of three conditions holds.
 
-        No event later than ``until`` is dispatched: cancelled entries
-        are skipped and the bound is re-checked against the next head.
-        When the run stops, the clock advances to ``until`` (also when
-        the queue drained early).  The clock never moves backwards: an
-        ``until`` below the current dispatch time dispatches nothing and
-        leaves the clock where it is.
+        * ``stop()`` is true: it is checked before each dispatch, and the
+          clock stays at the last dispatch.
+        * The next live event lies past ``until``: no event later than
+          ``until`` is dispatched, and the clock advances to ``until``.
+        * No live event is left: with a ``stop`` that is still false the
+          awaited condition can never occur, so :class:`DeadlockError` is
+          raised (``until`` or not); without ``stop`` the clock advances
+          to ``until``.
+
+        The clock never moves backwards: an ``until`` below the current
+        dispatch time dispatches nothing and leaves the clock where it is.
 
         ``max_events`` is a runaway-experiment backstop (default:
         ``$REPRO_MAX_EVENTS`` or :data:`DEFAULT_MAX_EVENTS`); hitting it
@@ -376,18 +364,24 @@ class Simulator:
         """
         limit = default_max_events() if max_events is None else max_events
         bound = _NO_BOUND if until is None else until
-        # Hot loop: :meth:`_dispatch` inlined, with everything reachable
-        # per dispatch bound to a local once.
+        # the one dispatch loop: everything reachable per dispatch is
+        # bound to a local once
         heap = self._heap
         heappop = _heappop
         recent_append = self._recent_labels.append
         processed = 0
-        while heap:
+        while True:
+            if stop is not None and stop():
+                return
+            if not self._live:
+                if stop is not None:
+                    raise DeadlockError(
+                        "event queue drained before the awaited condition became true"
+                    )
+                break
             # the bound is checked against the head entry, cancelled or not
             if heap[0][0] > bound:
-                if until > self._time:
-                    self._time = until
-                return
+                break
             call = heappop(heap)[2]
             if call.cancelled:
                 continue
@@ -413,29 +407,9 @@ class Simulator:
     def run_until(
         self, predicate: Callable[[], bool], max_events: Optional[int] = None
     ) -> None:
-        """Run until ``predicate()`` becomes true.
-
-        Raises :class:`DeadlockError` if the event queue drains first: the
-        awaited completion can then never occur.  ``max_events`` defaults
-        like :meth:`run`.
-        """
-        limit = default_max_events() if max_events is None else max_events
-        pop_next = self._pop_next
-        dispatch = self._dispatch
-        processed = 0
-        while not predicate():
-            call = pop_next()
-            if call is None:
-                raise DeadlockError(
-                    "event queue drained before the awaited condition became true"
-                )
-            dispatch(call)
-            processed += 1
-            if processed > limit:
-                raise SimulationError(
-                    f"run_until exceeded {limit} events (runaway loop?); "
-                    f"last dispatched: {self.recent_dispatch_context()}"
-                )
+        """``run(stop=predicate)``: raises :class:`DeadlockError` if the
+        queue drains before ``predicate()`` becomes true."""
+        self.run(stop=predicate, max_events=max_events)
 
     @property
     def pending_events(self) -> int:

@@ -64,7 +64,7 @@ def measure_load_time_ms(config: str, site: SiteDescription, seed: int = 0) -> f
     with closing(_browser_for(config, seed)) as browser:
         page = browser.open_page(site.url)
         load_site(browser, site, page=page)
-        browser.run_until(lambda: page.loaded)
+        browser.run(stop=lambda: page.loaded)
         # drain a little so defense-level deferred work is accounted
         return to_ms(page.load_time_ns)
 

@@ -299,7 +299,7 @@ def run_app(config: str, app_name: str, seed: int = 0) -> Dict[str, Any]:
         box: Dict[str, bool] = {}
         _family, app = CODEPEN_APPS[app_name]
         page.run_script(lambda scope: app(scope, report, lambda: box.__setitem__("done", True)))
-        browser.run_until(lambda: "done" in box)
+        browser.run(stop=lambda: "done" in box)
         return report
 
 

@@ -111,7 +111,7 @@ def run_test(config: str, test_name: str, seed: int = 0) -> float:
             box["duration_ms"] = to_ms(browser.sim.now - start)
 
         page.run_script(runner, label=f"dromaeo:{test_name}")
-        browser.run_until(lambda: "duration_ms" in box)
+        browser.run(stop=lambda: "duration_ms" in box)
         return box["duration_ms"]
 
 

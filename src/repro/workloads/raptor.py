@@ -91,7 +91,7 @@ def measure_hero_time_ms(config: str, subtest: str, seed: int = 0) -> float:
 
         page.run_script(main_script, label=f"raptor:{subtest}")
         page.on_load(lambda: page.run_script(install_hero, label="hero-install"))
-        browser.run_until(lambda: "hero_ns" in box)
+        browser.run(stop=lambda: "hero_ns" in box)
         return to_ms(box["hero_ns"])
 
 

@@ -50,7 +50,7 @@ def measure_worker_creation_ms(config: str, count: int = WORKER_COUNT, seed: int
             return on_ready
 
         page.run_script(bench, label="worker-bench")
-        browser.run_until(lambda: "end" in box)
+        browser.run(stop=lambda: "end" in box)
         return to_ms(box["end"] - box["start"])
 
 

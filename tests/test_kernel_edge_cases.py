@@ -22,7 +22,7 @@ def test_kernel_fetch_abort_path(kernel_browser, kernel_page):
         scope.setTimeout(lambda: controller.abort(), 3)
 
     kernel_page.run_script(script)
-    kernel_browser.run_until(lambda: "result" in outcome)
+    kernel_browser.run(stop=lambda: "result" in outcome)
     assert outcome["result"] == "AbortError"
 
 
