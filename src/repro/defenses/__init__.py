@@ -1,15 +1,7 @@
 """Defenses evaluated in the paper's Table I, plus ablation variants."""
 
-from .backend import (
-    CAPABILITIES,
-    ClockSlot,
-    DefenseBackend,
-    InstallReceipt,
-    SchedulerSlot,
-    ScopeSlot,
-    WorkerSlot,
-)
-from .base import Defense, available, create, make_browser, register
+from .backend import DefenseBackend
+from .base import available, create, make_browser, register
 from .chromezero import ChromeZero, PolyfillWorkerHandle
 from .detbrowser import DetBrowser, DetSharedBuffer
 from .deterfox import DeterFox
@@ -64,28 +56,21 @@ CUBE_DEFENSES = [
 ]
 
 __all__ = [
-    "CAPABILITIES",
     "CUBE_DEFENSES",
     "ChromeZero",
-    "ClockSlot",
-    "Defense",
     "DefenseBackend",
     "DetBrowser",
     "DetSharedBuffer",
     "DeterFox",
     "Fuzzyfox",
-    "InstallReceipt",
     "JSKernelDefense",
     "JSKernelFuzzy",
     "JSKernelNoCvePolicies",
     "JSKernelNoDeterminism",
     "LegacyBrowser",
     "PolyfillWorkerHandle",
-    "SchedulerSlot",
-    "ScopeSlot",
     "TABLE1_DEFENSES",
     "TorBrowser",
-    "WorkerSlot",
     "available",
     "create",
     "make_browser",

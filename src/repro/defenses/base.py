@@ -1,44 +1,29 @@
-"""Defense interface and registry.
+"""Defense registry.
 
-A defense is anything installable into a :class:`Browser` before pages
-exist: it may swap the clock-policy factory, hook page/worker creation,
-or replace API implementations.  The registry maps the paper's Table I
-column names to factories so the matrix harness can iterate them.
+The registry maps the paper's Table I column names to
+:class:`~repro.defenses.backend.DefenseBackend` factories so the matrix
+harness can iterate them; :func:`make_browser` builds a browser with one
+installed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..errors import UnknownDefenseError
 from ..runtime.browser import Browser
 from ..runtime.profiles import BrowserProfile, by_name, vulnerable
+from .backend import DefenseBackend
+
+_registry: Dict[str, Callable[[], DefenseBackend]] = {}
 
 
-class Defense:
-    """Base defense: does nothing (legacy browser)."""
-
-    #: Registry/report name.
-    name = "none"
-    #: Which browser the defense ships on (None = any).
-    base_browser: Optional[str] = None
-
-    def install(self, browser: Browser) -> None:
-        """Apply the defense to a freshly constructed browser."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Defense {self.name}>"
-
-
-_registry: Dict[str, Callable[[], Defense]] = {}
-
-
-def register(name: str, factory: Callable[[], Defense]) -> None:
+def register(name: str, factory: Callable[[], DefenseBackend]) -> None:
     """Add a defense factory to the registry."""
     _registry[name] = factory
 
 
-def create(name: str) -> Defense:
+def create(name: str) -> DefenseBackend:
     """Instantiate a registered defense.
 
     Raises :class:`~repro.errors.UnknownDefenseError` (a ``KeyError``

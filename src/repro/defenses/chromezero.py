@@ -17,6 +17,7 @@ An extension that redefines sensitive APIs:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
@@ -28,7 +29,7 @@ from ..runtime.scopes import ErrorEvent, WorkerScope
 from ..runtime.simtime import us
 from ..runtime.task import TaskSource
 from ..runtime.xhr import XMLHttpRequest
-from .backend import ClockSlot, DefenseBackend, ScopeSlot, WorkerSlot
+from .backend import DefenseBackend
 
 #: Sanitised cross-origin error text.
 SANITIZED_ERROR = "Script error."
@@ -39,44 +40,30 @@ class ChromeZero(DefenseBackend):
 
     name = "chromezero"
     base_browser = "chrome"
-    capabilities = frozenset({"clock", "worker", "scope"})
 
     CLOCK_RESOLUTION_NS = us(100)
     #: Interposition cost charged on every wrapped call.
     WRAP_COST_NS = 15_000
 
-    def clock_slot(self, browser) -> ClockSlot:
+    def clock_policies(self, browser):
         """JavaScript Zero inherits Fuzzyfox's fuzzy-time idea for its
         redefined clocks (coarse AND randomly-updating)."""
         rng = browser.rng.stream("chromezero")
-        return ClockSlot(
-            policy_factory=lambda: FuzzyClockPolicy(self.CLOCK_RESOLUTION_NS, rng)
-        )
+        return partial(FuzzyClockPolicy, self.CLOCK_RESOLUTION_NS, rng), None
 
-    def worker_slot(self, browser) -> WorkerSlot:
-        """Replace Worker with the nonparallel main-loop polyfill."""
-
-        def polyfill(page) -> None:
-            page.scope.Worker = lambda src: PolyfillWorkerHandle(browser, page, src)
-
-        return WorkerSlot(page_hook=polyfill)
-
-    def scope_slot(self, browser) -> ScopeSlot:
-        """Proxy-based API wrapping: per-call cost + deoptimised JS."""
-        return ScopeSlot(page_hook=lambda page: self._wrap_scope(browser, page))
-
-    # ------------------------------------------------------------------
-    def _wrap_scope(self, browser, page) -> None:
+    def on_page(self, page) -> None:
+        """Replace Worker with the nonparallel main-loop polyfill, then
+        wrap the scope's APIs (per-call cost + deoptimised JS)."""
+        browser = page.browser
         scope = page.scope
+        scope.Worker = lambda src: PolyfillWorkerHandle(browser, page, src)
         # JS Zero's Proxy-based interposition deoptimises hot code: the
         # paper's own evaluation shows Chrome Zero visibly slower than
         # Chrome on real pages
         scope.js_cost_scale = max(scope.js_cost_scale, 1.4)
-        self._wrap_with_cost(browser, scope, "setTimeout")
-        self._wrap_with_cost(browser, scope, "setInterval")
-        self._wrap_with_cost(browser, scope, "requestAnimationFrame")
-        self._wrap_with_cost(browser, scope, "fetch")
-        self._wrap_with_cost(browser, scope, "getComputedStyle")
+        for attr in ("setTimeout", "setInterval", "requestAnimationFrame",
+                     "fetch", "getComputedStyle"):
+            self._wrap_with_cost(browser, scope, attr)
 
     def _wrap_with_cost(self, browser, scope, attr: str) -> None:
         native = getattr(scope, attr)

@@ -5,18 +5,19 @@ threat model with **deterministic clocks** rather than kernel-style
 policy enforcement: every explicit clock a thread can read advances by a
 fixed quantum per observable operation, so two runs that perform the
 same operations read the same times — no physical timing difference
-survives into script-visible state.  The backend composes three slots:
+survives into script-visible state.  The backend changes three things:
 
-* ``clock`` — :class:`~repro.runtime.clock.DeterministicClockPolicy` for
+* clocks — :class:`~repro.runtime.clock.DeterministicClockPolicy` for
   ``performance.now`` *and* the animation/media clock, one fresh policy
   per scope (= per thread, the paper's per-thread logical clocks);
   page ``Date`` reads are mapped onto the same quantum;
-* ``scheduler`` — deterministic timer/rAF/fetch/subresource delivery and
+* each page — deterministic timer/rAF/fetch/subresource delivery and
   worker→main message re-routing, sharing DeterFox's machinery
   (:mod:`repro.defenses.deterministic`);
-* ``worker`` — SharedArrayBuffer counters are wrapped so reads observe
-  the *reader's deterministic clock*, not the writer's true progress:
-  the implicit SAB timer degrades into a pure function of read count.
+* each page and worker — SharedArrayBuffer counters are wrapped so
+  reads observe the *reader's deterministic clock*, not the writer's
+  true progress: the implicit SAB timer degrades into a pure function
+  of read count.
 
 What it deliberately does **not** do — and where it diverges from
 JSKernel in the cube — is police the worker *lifecycle* or any other
@@ -27,12 +28,14 @@ model is engine-agnostic, so ``base_browser`` is unpinned.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..kernel.policies.deterministic import DeterministicSchedulingPolicy
 from ..kernel.policy import CompositePolicy, SchedulingGrid
 from ..runtime.clock import DeterministicClockPolicy
 from ..runtime.sharedmem import AccessPolicy as SharedMemAccessPolicy
 from ..runtime.simtime import MS, us
-from .backend import ClockSlot, DefenseBackend, SchedulerSlot, WorkerSlot
+from .backend import DefenseBackend
 from .deterministic import install_deterministic_delivery
 
 
@@ -42,8 +45,6 @@ class DetBrowser(DefenseBackend):
     name = "detbrowser"
     base_browser = None  # clock determinism is engine-agnostic
 
-    capabilities = frozenset({"clock", "scheduler", "worker"})
-
     #: Deterministic-clock advance per observable operation.
     QUANTUM_NS = us(10)
 
@@ -51,34 +52,24 @@ class DetBrowser(DefenseBackend):
         self.grid = SchedulingGrid()
         self.policy = CompositePolicy([DeterministicSchedulingPolicy()])
 
-    # ------------------------------------------------------------------
-    def clock_slot(self, browser) -> ClockSlot:
+    def clock_policies(self, browser):
         """Per-thread deterministic clocks, animation/media included."""
-        return ClockSlot(
-            policy_factory=lambda: DeterministicClockPolicy(self.QUANTUM_NS),
-            animation_policy_factory=lambda: DeterministicClockPolicy(
-                self.QUANTUM_NS
-            ),
-        )
+        factory = partial(DeterministicClockPolicy, self.QUANTUM_NS)
+        return factory, factory
 
-    def scheduler_slot(self, browser) -> SchedulerSlot:
-        """Deterministic async delivery on every page's main thread."""
-        return SchedulerSlot(page_hook=self._on_page)
-
-    def worker_slot(self, browser) -> WorkerSlot:
-        """Map SAB-counter reads onto the reader's deterministic clock."""
-        return WorkerSlot(
-            page_hook=lambda page: self._wrap_shared(page.scope),
-            worker_hook=lambda agent: self._wrap_shared(agent.scope),
-        )
-
-    # ------------------------------------------------------------------
-    def _on_page(self, page) -> None:
+    def on_page(self, page) -> None:
+        """Deterministic async delivery on the page's main thread, then
+        SAB-counter reads mapped onto the reader's deterministic clock."""
         install_deterministic_delivery(
             page, self.policy, self.grid, label=f"detbrowser:{page.origin.host}"
         )
         # Date reads advance on the same deterministic quantum.
         page.scope.Date.policy = DeterministicClockPolicy(self.QUANTUM_NS)
+        self._wrap_shared(page.scope)
+
+    def on_worker(self, agent) -> None:
+        """Workers' SAB-counter reads go through their own clocks too."""
+        self._wrap_shared(agent.scope)
 
     def _wrap_shared(self, scope) -> None:
         self._wrap_shared_buffers(scope)

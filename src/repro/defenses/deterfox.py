@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from ..kernel.policies.deterministic import DeterministicSchedulingPolicy
 from ..kernel.policy import CompositePolicy, SchedulingGrid
-from .backend import DefenseBackend, SchedulerSlot
+from .backend import DefenseBackend
 from .deterministic import install_deterministic_delivery
 
 
@@ -35,22 +35,13 @@ class DeterFox(DefenseBackend):
 
     name = "deterfox"
     base_browser = "firefox"
-    #: One composite page hook: deterministic delivery (scheduler), the
-    #: worker-message re-routing (worker) and fork fragility (scope).
-    capabilities = frozenset({"scheduler", "worker", "scope"})
 
     def __init__(self):
         self.grid = SchedulingGrid()
         self.policy = CompositePolicy([DeterministicSchedulingPolicy()])
 
-    def scheduler_slot(self, browser) -> SchedulerSlot:
-        """Hook pages; workers are left entirely native."""
-        return SchedulerSlot(
-            page_hook=self._on_page,
-            covers=frozenset({"scheduler", "worker", "scope"}),
-        )
-
-    def _on_page(self, page) -> None:
+    def on_page(self, page) -> None:
+        """Deterministic delivery on the page; workers stay native."""
         install_deterministic_delivery(
             page, self.policy, self.grid, label=f"deterfox:{page.origin.host}"
         )

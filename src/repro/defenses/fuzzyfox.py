@@ -14,10 +14,12 @@ Two mechanisms, both randomized:
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..runtime.clock import FuzzyClockPolicy
 from ..runtime.simtime import ms
 from ..runtime.task import TaskSource
-from .backend import ClockSlot, DefenseBackend, SchedulerSlot, ScopeSlot
+from .backend import DefenseBackend
 
 
 class Fuzzyfox(DefenseBackend):
@@ -25,7 +27,6 @@ class Fuzzyfox(DefenseBackend):
 
     name = "fuzzyfox"
     base_browser = "firefox"
-    capabilities = frozenset({"clock", "scheduler", "scope"})
 
     #: Fuzzy-clock update grain.
     FUZZ_RESOLUTION_NS = ms(1)
@@ -34,32 +35,23 @@ class Fuzzyfox(DefenseBackend):
     #: Largest cost of one pause task.
     PAUSE_MAX_COST_NS = ms(8)
 
-    def clock_slot(self, browser) -> ClockSlot:
+    def clock_policies(self, browser):
         """Fuzzy clocks on every time source, animation/media included."""
         rng = browser.rng.stream("fuzzyfox")
-        return ClockSlot(
-            policy_factory=lambda: FuzzyClockPolicy(self.FUZZ_RESOLUTION_NS, rng),
-            animation_policy_factory=lambda: FuzzyClockPolicy(
-                self.FUZZ_RESOLUTION_NS, rng
-            ),
-        )
+        factory = partial(FuzzyClockPolicy, self.FUZZ_RESOLUTION_NS, rng)
+        return factory, factory
 
-    def scheduler_slot(self, browser) -> SchedulerSlot:
+    def on_page(self, page) -> None:
+        """A pause pump on the page's loop, then the compatibility
+        fragility of the heavily patched C++ build: sporadic loading
+        errors (paper §V-B1 attributes Fuzzyfox's non-time
+        incompatibilities to exactly this)."""
+        self._start_pump(page.browser, page.loop)
+        page.load_failure_rate = 0.3
+
+    def on_worker(self, agent) -> None:
         """Pause pumps degrade implicit clocks on every event loop."""
-        return SchedulerSlot(
-            page_hook=lambda page: self._start_pump(browser, page.loop),
-            worker_hook=lambda agent: self._start_pump(browser, agent.loop),
-        )
-
-    def scope_slot(self, browser) -> ScopeSlot:
-        """Compatibility fragility of the heavily patched C++ build.
-
-        Sporadic loading errors (paper §V-B1 attributes Fuzzyfox's
-        non-time incompatibilities to exactly this).
-        """
-        return ScopeSlot(
-            page_hook=lambda page: setattr(page, "load_failure_rate", 0.3)
-        )
+        self._start_pump(agent.host, agent.loop)
 
     def _start_pump(self, browser, loop) -> None:
         rng = browser.rng.stream(f"fuzzyfox-pause:{loop.name}")

@@ -21,38 +21,27 @@ from ..kernel.policies import (
     FuzzySchedulingPolicy,
     all_cve_policies,
 )
-from .backend import DefenseBackend, SchedulerSlot, ScopeSlot
+from .backend import DefenseBackend
 
 
 class JSKernelDefense(DefenseBackend):
     """The full JSKernel extension.
 
-    The kernel is a *composite* installer: one page hook injects a
-    :class:`~repro.kernel.jskernel.JSKernelInstance` that replaces the
-    clocks, routes every async delivery through the two-stage scheduler,
-    takes over the worker substrate and wraps the remaining APIs — so a
-    single scheduler slot ``covers`` all four capabilities.
+    One page hook injects a :class:`~repro.kernel.jskernel.JSKernelInstance`
+    that replaces the clocks, routes every async delivery through the
+    two-stage scheduler, takes over the worker substrate and wraps the
+    remaining APIs.
     """
 
     name = "jskernel"
     base_browser = None  # browser-agnostic: deployable on all three
-    capabilities = frozenset({"clock", "scheduler", "worker", "scope"})
 
     def __init__(self, kernel: JSKernel = None):
         self.kernel = kernel or JSKernel()
 
-    def scheduler_slot(self, browser) -> SchedulerSlot:
-        """Install the kernel into every page of the browser."""
-        return SchedulerSlot(
-            page_hook=self.kernel.install_into_page,
-            covers=frozenset({"clock", "scheduler", "worker", "scope"}),
-        )
-
-    def scope_slot(self, browser) -> ScopeSlot:
-        """Expose the kernel on the browser (audit/debug surface)."""
-        return ScopeSlot(
-            browser_hook=lambda b: setattr(b, "jskernel", self.kernel)
-        )
+    def on_page(self, page) -> None:
+        """Install the kernel into the page."""
+        self.kernel.install_into_page(page)
 
 
 class JSKernelNoDeterminism(JSKernelDefense):

@@ -13,11 +13,9 @@ from .backend import DefenseBackend
 class LegacyBrowser(DefenseBackend):
     """No defense at all; the Table I baseline columns.
 
-    Declares no capabilities, so the backend base class installs nothing
+    States no clock, setup or hook, so the base class installs nothing
     — which is the point of the baseline.
     """
-
-    capabilities = frozenset()
 
     def __init__(self, browser: str = "chrome"):
         self.base_browser = browser

@@ -9,9 +9,11 @@ Figure 3 CDF.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..runtime.clock import QuantizedClockPolicy
 from ..runtime.simtime import ms
-from .backend import ClockSlot, DefenseBackend, ScopeSlot
+from .backend import DefenseBackend
 
 
 class TorBrowser(DefenseBackend):
@@ -19,7 +21,6 @@ class TorBrowser(DefenseBackend):
 
     name = "tor"
     base_browser = "firefox"
-    capabilities = frozenset({"clock", "scope"})
 
     CLOCK_RESOLUTION_NS = ms(100)
     CIRCUIT_LATENCY_NS = ms(220)
@@ -29,28 +30,20 @@ class TorBrowser(DefenseBackend):
     #: milliseconds on Tor (Table II's 500/600 ms column).
     JS_COST_SCALE = 40.0
 
-    def clock_slot(self, browser) -> ClockSlot:
+    def clock_policies(self, browser):
         """The famous 100 ms clamp (animation clocks stay exact)."""
-        return ClockSlot(
-            policy_factory=lambda: QuantizedClockPolicy(
-                self.CLOCK_RESOLUTION_NS, name="tor-100ms"
-            )
-        )
+        return partial(QuantizedClockPolicy, self.CLOCK_RESOLUTION_NS, name="tor-100ms"), None
 
-    def scope_slot(self, browser) -> ScopeSlot:
-        """Onion-route the network; security slider disables the JIT."""
+    def prepare(self, browser) -> None:
+        """Onion-route the network."""
+        browser.network.base_latency_ns = self.CIRCUIT_LATENCY_NS
+        browser.network.jitter_ns = ms(60)
+        browser.network.bandwidth_bytes_per_ms = self.BANDWIDTH_BYTES_PER_MS
 
-        def shape_network(b) -> None:
-            b.network.base_latency_ns = self.CIRCUIT_LATENCY_NS
-            b.network.jitter_ns = ms(60)
-            b.network.bandwidth_bytes_per_ms = self.BANDWIDTH_BYTES_PER_MS
+    def on_page(self, page) -> None:
+        """The security slider disables the JIT on every page ..."""
+        page.scope.js_cost_scale = self.JS_COST_SCALE
 
-        return ScopeSlot(
-            browser_hook=shape_network,
-            page_hook=lambda page: setattr(
-                page.scope, "js_cost_scale", self.JS_COST_SCALE
-            ),
-            worker_hook=lambda agent: setattr(
-                agent.scope, "js_cost_scale", self.JS_COST_SCALE
-            ),
-        )
+    def on_worker(self, agent) -> None:
+        """... and in every worker."""
+        agent.scope.js_cost_scale = self.JS_COST_SCALE

@@ -94,7 +94,6 @@ class Browser:
         #: why Tor is still vulnerable to the animation clocks); only
         #: defenses that explicitly cover animation time override this.
         self.animation_clock_policy_factory: Callable[[], ClockPolicy] = ClockPolicy
-        self.defense = defense
         if defense is not None:
             defense.install(self)
         for hook in current_interceptors():

@@ -1,64 +1,74 @@
-"""Conformance suite for the pluggable defense-backend interface.
+"""What each registered defense installs, through the one install path.
 
-Every registered defense must be a :class:`DefenseBackend` whose
-capability declarations match what its slots actually cover, whose
-install is idempotent per browser, and whose install path never touches
-the global ``random`` module (seeded streams only — the repo's
-determinism contract).
+Every registered defense is a :class:`DefenseBackend` that does not
+override ``install``; after :func:`make_browser` its browser holds the
+clock policies, page hooks and worker hooks the table below states, and
+neither install nor a page run touches the global ``random`` module
+(seeded streams only — the repo's determinism contract).
 """
 
 import random
 
 import pytest
 
-from repro.defenses import (
-    CAPABILITIES,
-    ClockSlot,
-    DefenseBackend,
-    available,
-    create,
-    make_browser,
+from repro.defenses import DefenseBackend, available, create, make_browser
+from repro.errors import UnknownDefenseError
+from repro.runtime.clock import (
+    ClockPolicy,
+    DeterministicClockPolicy,
+    FuzzyClockPolicy,
+    QuantizedClockPolicy,
 )
-from repro.errors import PolicyError, UnknownDefenseError
-from repro.runtime import Browser, chrome
 from repro.runtime.simtime import ms
+
+Q, F, D, EXACT = QuantizedClockPolicy, FuzzyClockPolicy, DeterministicClockPolicy, ClockPolicy
+
+#: name -> (performance.now policy, animation policy, page hooks, worker hooks)
+INSTALLS = {
+    "legacy-chrome": (Q, EXACT, 0, 0),
+    "legacy-firefox": (Q, EXACT, 0, 0),
+    "legacy-edge": (Q, EXACT, 0, 0),
+    "fuzzyfox": (F, F, 1, 1),
+    "deterfox": (Q, EXACT, 1, 0),
+    "tor": (Q, EXACT, 1, 1),
+    "chromezero": (F, EXACT, 1, 0),
+    "jskernel": (Q, EXACT, 1, 0),
+    "jskernel-nodet": (Q, EXACT, 1, 0),
+    "jskernel-nocve": (Q, EXACT, 1, 0),
+    "jskernel-fuzzy": (Q, EXACT, 1, 0),
+    "detbrowser": (D, D, 1, 1),
+}
+
+
+def test_the_table_covers_every_registered_defense():
+    assert sorted(INSTALLS) == available()
 
 
 @pytest.mark.parametrize("name", available())
 def test_every_registered_defense_is_a_backend(name):
     defense = create(name)
     assert isinstance(defense, DefenseBackend)
-    assert defense.capabilities <= set(CAPABILITIES)
+    # perfbench times defense install by wrapping this one method
+    assert type(defense).install is DefenseBackend.install
 
 
 @pytest.mark.parametrize("name", available())
-def test_install_leaves_a_receipt_matching_declarations(name):
+def test_install_states_its_clocks_and_hooks(name):
+    now_cls, animation_cls, page_hooks, worker_hooks = INSTALLS[name]
     browser = make_browser(name, seed=3)
-    receipts = browser.defense_receipts
-    assert len(receipts) == 1
-    (receipt,) = receipts.values()
-    assert receipt.capabilities == frozenset(create(name).capabilities)
-    # applied slots come in canonical order and only from known kinds
-    assert list(receipt.slots) == [
-        kind for kind in CAPABILITIES if kind in receipt.slots
-    ]
+    assert type(browser.clock_policy_factory()) is now_cls
+    assert type(browser.animation_clock_policy_factory()) is animation_cls
+    assert len(browser.page_hooks) == page_hooks
+    assert len(browser.worker_hooks) == worker_hooks
 
-
-@pytest.mark.parametrize("name", available())
-def test_install_is_idempotent_per_browser(name):
-    browser = make_browser(name, seed=1)
-    defense = browser.defense
-    page_hooks = list(browser.page_hooks)
-    worker_hooks = list(browser.worker_hooks)
-    clock_factory = browser.clock_policy_factory
-    receipts = dict(browser.defense_receipts)
-
-    defense.install(browser)
-
-    assert browser.page_hooks == page_hooks
-    assert browser.worker_hooks == worker_hooks
-    assert browser.clock_policy_factory is clock_factory
-    assert browser.defense_receipts == receipts
+    network, profile = browser.network, browser.profile
+    if name == "tor":
+        assert browser.clock_policy_factory().resolution_ns == ms(100)
+        assert (network.base_latency_ns, network.jitter_ns) == (ms(220), ms(60))
+        assert network.bandwidth_bytes_per_ms == 600
+    else:
+        assert network.base_latency_ns == profile.network_base_latency_ns
+        assert network.bandwidth_bytes_per_ms == profile.network_bandwidth_bytes_per_ms
 
 
 @pytest.mark.parametrize("name", available())
@@ -72,48 +82,6 @@ def test_install_and_page_run_draw_no_global_random(name):
     )
     browser.run(until=ms(50))
     assert random.getstate() == state
-
-
-# ----------------------------------------------------------------------
-# misdeclared synthetic backends are rejected at install time
-# ----------------------------------------------------------------------
-class _UndeclaredSlot(DefenseBackend):
-    name = "synthetic-undeclared"
-    capabilities = frozenset()  # ... yet provides a clock slot
-
-    def clock_slot(self, browser):
-        return ClockSlot(policy_factory=lambda: None)
-
-
-class _UncoveredCapability(DefenseBackend):
-    name = "synthetic-uncovered"
-    capabilities = frozenset({"scope"})  # ... yet provides no slot
-
-
-class _UnknownCapability(DefenseBackend):
-    name = "synthetic-unknown"
-    capabilities = frozenset({"quantum-tunneling"})
-
-
-@pytest.mark.parametrize(
-    "backend_cls, fragment",
-    [
-        (_UndeclaredSlot, "undeclared"),
-        (_UncoveredCapability, "no covering"),
-        (_UnknownCapability, "unknown capabilities"),
-    ],
-)
-def test_misdeclared_backend_raises_policy_error(backend_cls, fragment):
-    browser = Browser(profile=chrome(), seed=1)
-    with pytest.raises(PolicyError, match=fragment):
-        backend_cls().install(browser)
-
-
-def test_misdeclared_backend_leaves_no_receipt():
-    browser = Browser(profile=chrome(), seed=1)
-    with pytest.raises(PolicyError):
-        _UncoveredCapability().install(browser)
-    assert browser.defense_receipts == {}
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,10 @@
 example ``Simulator.run_until`` and ``Simulator.step``).  Renaming or
 deleting one of them breaks every ``perfbench/run.py --trace 1`` pass
 with an ``AttributeError``; this test catches that in tier-1, without
-running a benchmark pass.
+running a benchmark pass.  It also builds one browser per registered
+defense under the wrappers: each must record exactly one
+``defenses.install`` span, which a defense overriding
+``DefenseBackend.install`` would miss.
 """
 
 import os
@@ -19,7 +22,17 @@ sys.path[:0] = sys.argv[1:]
 from layers import LayerTrace
 from workloads import TableOne
 TableOne().setup()
-LayerTrace("table1").install()
+trace = LayerTrace("table1")
+trace.install()
+
+from repro.defenses import available, make_browser
+names = available()
+for name in names:
+    make_browser(name)
+spans = trace.spans
+install_id = spans.names.index("defenses.install")
+installs = sum(1 for nid in spans.name_id if nid == install_id)
+assert installs == len(names), (installs, names)
 """
 
 
