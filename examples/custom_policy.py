@@ -9,6 +9,7 @@ Run:  python examples/custom_policy.py
 """
 
 from repro import Browser, JSKernel, Policy, SecurityError, chrome
+from repro.defenses import JSKernelDefense
 from repro.kernel.policies import DeterministicSchedulingPolicy, all_cve_policies
 from repro.runtime.origin import parse_url
 from repro.runtime.simtime import ms
@@ -40,8 +41,7 @@ def main() -> None:
         policies=[DeterministicSchedulingPolicy(), WorkerFetchQuotaPolicy(quota=2)]
         + all_cve_policies()
     )
-    browser = Browser(profile=chrome(), seed=1)
-    kernel.install(browser)
+    browser = Browser(profile=chrome(), defense=JSKernelDefense(kernel), seed=1)
     browser.network.host_simple(parse_url("https://app.example/data"), 2_000)
     page = browser.open_page("https://app.example/")
     log = []

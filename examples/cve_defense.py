@@ -7,15 +7,15 @@ policy installed.
 Run:  python examples/cve_defense.py
 """
 
-from repro import Browser, JSKernel, UseAfterFreeError, vulnerable
+from repro import Browser, UseAfterFreeError, vulnerable
+from repro.defenses import JSKernelDefense
 from repro.runtime.origin import parse_url
 from repro.runtime.simtime import ms
 
 
 def drive_exploit(with_kernel: bool) -> str:
-    browser = Browser(profile=vulnerable("firefox"), seed=1)
-    if with_kernel:
-        JSKernel().install(browser)
+    defense = JSKernelDefense() if with_kernel else None
+    browser = Browser(profile=vulnerable("firefox"), defense=defense, seed=1)
     browser.network.host_simple(
         parse_url("https://attacker.example/fetchedfile0.html"), 64_000
     )

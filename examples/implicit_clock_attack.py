@@ -9,7 +9,8 @@ is a constant.
 Run:  python examples/implicit_clock_attack.py
 """
 
-from repro import Browser, JSKernel, SimImage, chrome
+from repro import Browser, SimImage, chrome
+from repro.defenses import JSKernelDefense
 
 LOW_RES = SimImage(320, 320, label="low-res", cross_origin=True)
 HIGH_RES = SimImage(760, 760, label="high-res", cross_origin=True)
@@ -17,9 +18,8 @@ HIGH_RES = SimImage(760, 760, label="high-res", cross_origin=True)
 
 def measure(image: SimImage, with_kernel: bool) -> int:
     """Count onmessage callbacks while the filter runs (Listing 1)."""
-    browser = Browser(profile=chrome(), seed=1)
-    if with_kernel:
-        JSKernel().install(browser)
+    defense = JSKernelDefense() if with_kernel else None
+    browser = Browser(profile=chrome(), defense=defense, seed=1)
     page = browser.open_page("https://attacker.example/")
     result = {}
 

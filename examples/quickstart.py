@@ -3,14 +3,14 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import Browser, JSKernel, chrome
+from repro import Browser, chrome
+from repro.defenses import JSKernelDefense
 from repro.runtime.simtime import ms
 
 
 def demo(with_kernel: bool) -> None:
-    browser = Browser(profile=chrome(), seed=1)
-    if with_kernel:
-        JSKernel().install(browser)
+    defense = JSKernelDefense() if with_kernel else None
+    browser = Browser(profile=chrome(), defense=defense, seed=1)
     page = browser.open_page("https://example.com/")
 
     def script(scope):

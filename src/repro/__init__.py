@@ -8,10 +8,10 @@ regenerate every table and figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import Browser, JSKernel, vulnerable
+    from repro import Browser, vulnerable
+    from repro.defenses import JSKernelDefense
 
-    browser = Browser(profile=vulnerable("chrome"))
-    JSKernel().install(browser)
+    browser = Browser(profile=vulnerable("chrome"), defense=JSKernelDefense())
     page = browser.open_page("https://example.com/")
     page.run_script(lambda scope: scope.setTimeout(lambda: None, 10))
     browser.run()

@@ -30,12 +30,17 @@ length); the report also pinpoints the first divergent position.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .hbgraph import run_pids
 from .scenario import run_traced_scenario
 
 Schedule = Dict[str, List[Tuple[str, int]]]
+
+#: Defenses whose scheduling policy promises a seed-independent dispatch
+#: schedule (the JSKernel general policy, with or without CVE policies);
+#: the fuzz replay oracle is on by default for these.
+DETERMINISTIC_DEFENSES: Tuple[str, ...] = ("jskernel", "jskernel-nocve")
 
 
 def extract_schedule(events: List[dict], pid: int) -> Schedule:
@@ -84,40 +89,45 @@ def schedule_divergence(a: Schedule, b: Schedule) -> Tuple[int, Optional[dict]]:
     return score, first
 
 
+def capture_schedule(events: List[dict]) -> Dict[str, List[list]]:
+    """Every run's dispatch schedule in one capture, folded by thread row.
+
+    Attacks build one browser per run, so rows are unique per pid; the
+    pid stays out of the key so two captures' runs align.  Entries are in
+    **list form** (``[name, value]``), the form reports print and JSON
+    carries.
+    """
+    merged: Dict[str, List[list]] = {}
+    for pid in run_pids(events):
+        for row, seq in extract_schedule(events, pid).items():
+            merged.setdefault(row, []).extend(list(entry) for entry in seq)
+    return merged
+
+
 def schedule_for_seed(
     attack_name: str, defense_name: str, seed: int
-) -> Tuple[Dict[str, List[List]], str]:
-    """One audit shard: run a scenario under ``seed``, extract its schedule.
-
-    Returns ``(schedule, outcome)`` with every schedule entry in
-    **list form** (``[name, value]`` instead of a tuple) so the result is
-    JSON-pure: the parallel harness ships shards across process
-    boundaries and the result cache round-trips them through JSON, and a
-    cached shard must compare equal to a freshly computed one.
-    """
+) -> Tuple[Dict[str, List[list]], str]:
+    """Run a scenario under ``seed``; return ``(schedule, outcome)``."""
     tracer, outcome = run_traced_scenario(attack_name, defense_name, seed=seed)
-    merged: Dict[str, List[List]] = {}
-    for pid in run_pids(tracer.events):
-        for row, seq in extract_schedule(tracer.events, pid).items():
-            # attacks build one browser per run here, so rows are
-            # unique per pid; keep pid out of the key so runs align
-            merged.setdefault(row, []).extend(list(entry) for entry in seq)
-    return merged, outcome
+    return capture_schedule(tracer.events), outcome
 
 
-def combine_schedules(
+def audit_scenario(
     attack_name: str,
     defense_name: str,
-    seeds: Sequence[int],
-    schedules: Sequence[Schedule],
-    outcomes: Sequence[str],
+    seeds: Tuple[int, ...] = (0, 1, 2),
 ) -> dict:
-    """Fold per-seed schedules into one audit report.
+    """Run a scenario once per seed and compare dispatch schedules.
 
     The first seed's schedule is the reference; every other seed is
     scored against it.  ``divergence`` is the total across seeds — 0
     means the invocation sequence is seed-independent.
     """
+    if len(seeds) < 2:
+        raise ValueError("determinism audit needs at least two seeds")
+    schedules, outcomes = zip(
+        *(schedule_for_seed(attack_name, defense_name, seed) for seed in seeds)
+    )
     reference = schedules[0]
     per_seed = []
     total = 0
@@ -142,23 +152,6 @@ def combine_schedules(
         "deterministic": total == 0,
         "first_divergence": first_divergence,
     }
-
-
-def audit_scenario(
-    attack_name: str,
-    defense_name: str,
-    seeds: Tuple[int, ...] = (0, 1, 2),
-) -> dict:
-    """Run a scenario once per seed and compare dispatch schedules."""
-    if len(seeds) < 2:
-        raise ValueError("determinism audit needs at least two seeds")
-    schedules: List[Schedule] = []
-    outcomes: List[str] = []
-    for seed in seeds:
-        schedule, outcome = schedule_for_seed(attack_name, defense_name, seed)
-        schedules.append(schedule)
-        outcomes.append(outcome)
-    return combine_schedules(attack_name, defense_name, seeds, schedules, outcomes)
 
 
 def format_audit(report: dict) -> str:

@@ -26,7 +26,7 @@ JSON verdict from four oracle batteries:
   leaked nondeterminism (global RNG state, iteration-order dependence) —
   the property every replayable witness rests on.  Enabled by default
   for the defenses that promise deterministic schedules
-  (:data:`~repro.harness.audit.DETERMINISTIC_DEFENSES`).
+  (:data:`~repro.analysis.determinism.DETERMINISTIC_DEFENSES`).
 
 Deliberately **not** findings: ``DeadlockError``/``SimulationError``
 outcomes.  A plan that blackholes the response a scenario awaits hangs
@@ -40,13 +40,16 @@ perturb_spec, fault_spec)`` — the contract witness replay depends on.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..analysis.determinism import Schedule, extract_schedule, schedule_divergence
+from ..analysis.determinism import (
+    DETERMINISTIC_DEFENSES,
+    capture_schedule,
+    schedule_divergence,
+)
 from ..analysis.hbgraph import run_pids
 from ..analysis.races import analyze_races
 from ..analysis.scenario import run_traced_scenario
-from ..harness.audit import DETERMINISTIC_DEFENSES
 from ..runtime.simulator import perturbation
 from ..trace import current_tracer
 from .faults import FaultPlan
@@ -111,15 +114,6 @@ def sharedmem_leaks(events: List[dict]) -> int:
     return sum(1 for event in events if event.get("name") == "sharedmem.leak")
 
 
-def merged_schedule(events: List[dict]) -> Schedule:
-    """All runs' dispatch schedules folded into one row-keyed schedule."""
-    merged: Dict[str, List[Tuple[str, int]]] = {}
-    for pid in run_pids(events):
-        for row, seq in extract_schedule(events, pid).items():
-            merged.setdefault(row, []).extend(seq)
-    return merged
-
-
 def evaluate_run(
     attack: str,
     defense: str,
@@ -169,7 +163,7 @@ def evaluate_run(
     if check_determinism:
         tracer2, outcome2 = traced_run(attack, defense, seed, perturb_spec, fault_spec)
         divergence, _first = schedule_divergence(
-            merged_schedule(tracer.events), merged_schedule(tracer2.events)
+            capture_schedule(tracer.events), capture_schedule(tracer2.events)
         )
         if divergence or outcome2 != outcome:
             failures.append("nondeterminism")
@@ -259,7 +253,6 @@ __all__ = [
     "evaluate_divergence",
     "evaluate_run",
     "kernel_order_violations",
-    "merged_schedule",
     "security_failures",
     "sharedmem_deadlocks",
     "sharedmem_leaks",

@@ -1,11 +1,5 @@
 """Experiment harnesses regenerating the paper's tables and figures."""
 
-from .audit import (
-    AUDIT_SEEDS,
-    DETERMINISTIC_DEFENSES,
-    determinism_matrix,
-    determinism_violations,
-)
 from .compat import (
     LAUNCH_BUG_REGRESSIONS,
     api_compat_counts,
@@ -29,10 +23,8 @@ from .perf import (
 )
 
 __all__ = [
-    "AUDIT_SEEDS",
     "CUBE_PAIR",
     "CubeResult",
-    "DETERMINISTIC_DEFENSES",
     "FIGURE2_DEFENSES",
     "FIGURE2_SIZES",
     "LAUNCH_BUG_REGRESSIONS",
@@ -46,8 +38,6 @@ __all__ = [
     "as_cache",
     "code_fingerprint",
     "default_cache_dir",
-    "determinism_matrix",
-    "determinism_violations",
     "dom_similarity_survey",
     "overhead_profile",
     "run_cube",

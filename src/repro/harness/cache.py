@@ -1,8 +1,8 @@
 """Content-addressed on-disk cache for experiment cell results.
 
 Every experiment cell in this reproduction — a Table I ``(attack,
-defense, seed)`` run, a determinism-audit seed, a Figure 2 size point, an
-Alexa site visit — is a pure function of its parameters and of the code
+defense, seed)`` run, a Figure 2 size point, an Alexa site visit, a
+population block — is a pure function of its parameters and of the code
 that computes it.  Virtual time makes each run bit-for-bit reproducible
 (the DeterFox argument), so a cached result is exactly as good as a fresh
 one, and a warm rerun of a full matrix can skip every cell.

@@ -109,12 +109,10 @@ class CubeResult:
         attacks: Sequence[str],
         defenses: Sequence[str],
         seed: int,
-        pair: Tuple[str, str] = CUBE_PAIR,
     ):
         self.attacks = list(attacks)
         self.defenses = list(defenses)
         self.seed = seed
-        self.pair = pair
         #: attack -> defense -> defended?
         self.verdicts: Dict[str, Dict[str, bool]] = {}
         #: attack -> defense -> detail string
@@ -127,16 +125,14 @@ class CubeResult:
         self.cached_cells = 0
 
     # ------------------------------------------------------------------
-    def divergent_cells(
-        self, pair: Optional[Tuple[str, str]] = None
-    ) -> List[dict]:
-        """Cells where the pair disagrees, by verdict or overhead shape.
+    def divergent_cells(self) -> List[dict]:
+        """Cells where :data:`CUBE_PAIR` disagrees, by verdict or overhead shape.
 
         Verdict divergences (one defends, the other leaks) come first;
         overhead divergences (both defend, but mean queue delay differs
         by ≥ :data:`OVERHEAD_DIVERGENCE_RATIO`×) follow.
         """
-        left, right = pair or self.pair
+        left, right = CUBE_PAIR
         found: List[dict] = []
         for attack in self.attacks:
             row = self.verdicts.get(attack, {})
@@ -196,7 +192,7 @@ class CubeResult:
                 marks.append(mark.center(12))
             lines.append(attack.ljust(width) + " ".join(marks))
         divergent = self.divergent_cells()
-        left, right = self.pair
+        left, right = CUBE_PAIR
         lines.append("")
         lines.append(f"divergent cells ({left} vs {right}):")
         if not divergent:
@@ -226,7 +222,7 @@ class CubeResult:
             "attacks": self.attacks,
             "defenses": self.defenses,
             "seed": self.seed,
-            "pair": list(self.pair),
+            "pair": list(CUBE_PAIR),
             "verdicts": self.verdicts,
             "details": self.details,
             "overhead": self.overhead,
@@ -243,7 +239,6 @@ def run_cube(
     seed: int = 0,
     parallel: Optional[int] = None,
     cache=None,
-    pair: Tuple[str, str] = CUBE_PAIR,
 ) -> CubeResult:
     """Evaluate the defense × attack cube.
 
@@ -264,7 +259,7 @@ def run_cube(
     with span("cube.run", cells=len(cells), seed=seed):
         results = engine.run(cells)
 
-    outcome = CubeResult(attacks, defenses, seed, pair=pair)
+    outcome = CubeResult(attacks, defenses, seed)
     for attack in attacks:
         outcome.verdicts[attack] = {}
         outcome.details[attack] = {}

@@ -9,7 +9,6 @@ from ..attacks import attack_names
 from ..attacks.expected import expected_matrix
 from ..defenses import TABLE1_DEFENSES
 from ..telemetry.spans import span
-from ..trace import current_tracer
 from .parallel import Cell, ExperimentEngine
 
 
@@ -27,12 +26,6 @@ class TableOneResult:
         #: attack -> defense -> result detail string
         self.details = details
         self.defenses = list(defenses)
-        #: Metrics snapshot of the run, when captured under an active
-        #: tracer (see :mod:`repro.trace`); ``None`` otherwise.
-        self.metrics: Optional[dict] = None
-        #: attack -> defense -> determinism audit report, populated when
-        #: ``run_table1`` is called with ``determinism_seeds``.
-        self.determinism: Optional[Dict[str, Dict[str, dict]]] = None
         #: "attack vs defense: error" strings for cells whose run raised
         #: (the parallel engine captures per-cell failures instead of
         #: aborting the whole matrix); empty on a clean run.
@@ -41,17 +34,6 @@ class TableOneResult:
         #: engine: cells computed fresh vs. served from the result cache.
         self.computed_cells: int = 0
         self.cached_cells: int = 0
-
-    def determinism_violations(self) -> List[str]:
-        """Determinism-promising cells that diverged (empty when clean).
-
-        Returns ``[]`` when the run was not audited.
-        """
-        if self.determinism is None:
-            return []
-        from .audit import determinism_violations
-
-        return determinism_violations(self.determinism)
 
     def agreement(self) -> float:
         """Fraction of cells agreeing with the reconstructed paper matrix.
@@ -96,7 +78,6 @@ def run_table1(
     attacks: Optional[Sequence[str]] = None,
     defenses: Optional[Sequence[str]] = None,
     seed: int = 0,
-    determinism_seeds: Optional[Sequence[int]] = None,
     parallel: Optional[int] = None,
     cache=None,
 ) -> TableOneResult:
@@ -108,10 +89,7 @@ def run_table1(
     seed)``, so the result is byte-identical to the serial run); ``cache``
     enables the content-addressed result cache (see
     :mod:`repro.harness.cache`) so warm reruns skip already-computed
-    cells.  Passing ``determinism_seeds`` (≥ 2 seeds) additionally audits
-    every cell's dispatch schedule across those seeds and attaches the
-    reports as :attr:`TableOneResult.determinism`, letting callers assert
-    determinism as a property of the whole matrix run.
+    cells.
     """
     attacks = list(attacks or attack_names())
     defenses = list(defenses or TABLE1_DEFENSES)
@@ -144,13 +122,4 @@ def run_table1(
     outcome.errors = errors
     outcome.computed_cells = engine.computed
     outcome.cached_cells = engine.cache_hits
-    tracer = current_tracer()
-    if tracer.enabled:
-        outcome.metrics = tracer.metrics.snapshot()
-    if determinism_seeds is not None:
-        from .audit import determinism_matrix
-
-        outcome.determinism = determinism_matrix(
-            attacks, defenses, seeds=determinism_seeds, parallel=parallel, cache=cache
-        )
     return outcome

@@ -1,8 +1,8 @@
 """Parallel sharded execution engine for experiment cells.
 
 The paper's evaluation (§IV–§V) is an embarrassingly parallel grid: every
-Table I ``(attack, defense, seed)`` cell, determinism-audit seed, Figure
-2 size point and Alexa site visit is a pure deterministic function of its
+Table I ``(attack, defense, seed)`` cell, Figure 2 size point, Alexa
+site visit and population block is a pure deterministic function of its
 parameters.  This module shards those cells across a process pool and
 reassembles the results in submission order, so a parallel run is
 byte-identical to a serial one — determinism is the repo's headline
@@ -120,15 +120,6 @@ def _run_table1_cell(attack: str, defense: str, seed: int) -> dict:
 
     result = create_attack(attack).run(defense, seed=seed)
     return {"defended": result.defended, "detail": result.detail}
-
-
-@cell_kind("audit-schedule")
-def _run_audit_cell(attack: str, defense: str, seed: int) -> dict:
-    """One determinism-audit shard: the dispatch schedule under one seed."""
-    from ..analysis.determinism import schedule_for_seed
-
-    schedule, outcome = schedule_for_seed(attack, defense, seed)
-    return {"schedule": schedule, "outcome": outcome}
 
 
 @cell_kind("figure2")

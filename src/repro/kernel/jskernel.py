@@ -1,7 +1,8 @@
-"""The JSKernel facade: install the kernel into a browser.
+"""The JSKernel facade: the kernel that goes into a browser.
 
 ``JSKernel`` is the deployable artifact (the paper's browser extension):
-constructed with a policy bundle, installed into a :class:`Browser`, it
+constructed with a policy bundle and installed into a :class:`Browser`
+through :class:`~repro.defenses.jskernel_defense.JSKernelDefense`, it
 injects a :class:`JSKernelInstance` into every new JavaScript context —
 each page's main thread (here) and, through the thread manager, every
 worker a page creates.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..runtime.browser import Browser
 from ..runtime.page import Page
 from .interface import KernelInterface
 from .policy import CompositePolicy, Policy, SchedulingGrid
@@ -76,8 +76,9 @@ class JSKernelInstance:
 class JSKernel:
     """The deployable JSKernel 'extension'.
 
-    Usable directly (``JSKernel().install(browser)``) or through the
-    defense registry (:mod:`repro.defenses.jskernel_defense`).
+    Installed with ``Browser(defense=JSKernelDefense(kernel))`` or
+    ``JSKernelDefense(kernel).install(browser)``
+    (:mod:`repro.defenses.jskernel_defense`).
     """
 
     name = "jskernel"
@@ -94,23 +95,9 @@ class JSKernel:
         else:
             self.policy = CompositePolicy(policies)
         self.grid = grid or SchedulingGrid()
-        self.instances: List[JSKernelInstance] = []
-
-    # ------------------------------------------------------------------
-    def install(self, browser: Browser) -> None:
-        """Defense entry point: hook every new page."""
-        browser.page_hooks.append(self.install_into_page)
 
     def install_into_page(self, page: Page) -> JSKernelInstance:
         """Inject the kernel into one page's JavaScript context."""
         instance = JSKernelInstance(self, page)
-        self.instances.append(instance)
         page.jskernel = instance
         return instance
-
-    def instance_for(self, page: Page) -> Optional[JSKernelInstance]:
-        """The kernel instance injected into ``page`` (if any)."""
-        for instance in self.instances:
-            if instance.page is page:
-                return instance
-        return None

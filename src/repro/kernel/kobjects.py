@@ -49,7 +49,6 @@ class KernelEvent:
         "reg_time",
         "confirm_time",
         "trace_span",
-        "queue",
     )
 
     def __init__(
@@ -81,10 +80,6 @@ class KernelEvent:
         self.confirm_time = 0
         #: Tracer-local async-span id (0 when the capture is disabled).
         self.trace_span = 0
-        #: Back-reference to the owning :class:`KernelEventQueue`, set on
-        #: push and cleared on removal, so status transitions can keep the
-        #: queue's O(1) live/pending counters exact without heap scans.
-        self.queue: Optional["KernelEventQueue"] = None
 
     # ------------------------------------------------------------------
     def confirm(
@@ -110,21 +105,11 @@ class KernelEvent:
             self.chosen_callback = callback
             self.callbacks = {name: callback}
         self.status = READY
-        queue = self.queue
-        if queue is not None:
-            queue._pending -= 1
 
     def cancel(self) -> None:
         """Mark the event cancelled (dispatcher will discard it)."""
-        status = self.status
-        if status == PENDING or status == READY:
+        if self.status == PENDING or self.status == READY:
             self.status = CANCELLED
-            queue = self.queue
-            if queue is not None:
-                queue._live -= 1
-                if status == PENDING:
-                    queue._pending -= 1
-                self.queue = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -144,11 +129,6 @@ class KernelEventQueue:
         self._sim = None
         self._trace_row = ""
         self._last_depth = -1
-        # O(1) bookkeeping, kept exact by the push/pop/remove paths below
-        # and by KernelEvent.cancel/confirm via the event's queue backref —
-        # replaces the O(n) heap scans the seed used for len()/pending_count
-        self._live = 0
-        self._pending = 0
 
     def bind_trace(self, sim, row: str) -> None:
         """Emit depth counters onto ``row`` of ``sim``'s tracer."""
@@ -181,12 +161,6 @@ class KernelEventQueue:
         event.id = self._seq
         heapq.heappush(self._heap, (event.predicted_time, event.id, event))
         self._by_id[event.id] = event
-        status = event.status
-        if status == PENDING or status == READY:
-            event.queue = self
-            self._live += 1
-            if status == PENDING:
-                self._pending += 1
         self._depth_changed()
         return event
 
@@ -204,13 +178,11 @@ class KernelEventQueue:
             return None
         _t, _i, event = heapq.heappop(self._heap)
         self._by_id.pop(event.id, None)
-        self._forget(event)
         self._depth_changed()
         return event
 
     def remove(self, event: KernelEvent) -> None:
         """Remove an event regardless of predicted time (lazy)."""
-        self._forget(event)
         event.status = DISPATCHED if event.status == DISPATCHED else CANCELLED
         self._by_id.pop(event.id, None)
         self._depth_changed()
@@ -232,31 +204,11 @@ class KernelEventQueue:
 
     def remove_by_id(self, event_id: int) -> None:
         """Drop an event from the id index (heap entry pruned lazily)."""
-        event = self._by_id.pop(event_id, None)
-        if event is not None:
-            self._forget(event)
+        self._by_id.pop(event_id, None)
         self._depth_changed()
-
-    def _forget(self, event: KernelEvent) -> None:
-        """Stop counting ``event`` as a live member of this queue."""
-        if event.queue is self:
-            event.queue = None
-            self._live -= 1
-            if event.status == PENDING:
-                self._pending -= 1
 
     def _prune(self) -> None:
         while self._heap and self._heap[0][2].status in (CANCELLED, DISPATCHED):
             _t, _i, event = heapq.heappop(self._heap)
             self._by_id.pop(event.id, None)
-            self._forget(event)
         self._depth_changed()
-
-    def __len__(self) -> int:
-        """Live (non-cancelled, non-dispatched) members — O(1)."""
-        return self._live
-
-    @property
-    def pending_count(self) -> int:
-        """Events awaiting confirmation — O(1)."""
-        return self._pending

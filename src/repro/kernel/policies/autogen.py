@@ -142,6 +142,7 @@ def extract_policy_for(attack_name: str, seed: int = 0) -> ExtractionResult:
     validates it by re-running the exploit with the policy active.
     """
     from ...attacks import create
+    from ...defenses.jskernel_defense import JSKernelDefense
     from ...runtime.browser import Browser
     from ...runtime.profiles import vulnerable
     from ..jskernel import JSKernel
@@ -152,9 +153,10 @@ def extract_policy_for(attack_name: str, seed: int = 0) -> ExtractionResult:
 
     def run_with(policies) -> bool:
         """Run the exploit under a kernel with ``policies``; True = leaked."""
-        kernel = JSKernel(policies=policies)
-        with closing(Browser(profile=vulnerable("firefox"), seed=seed)) as browser:
-            kernel.install(browser)
+        defense = JSKernelDefense(JSKernel(policies=policies))
+        with closing(
+            Browser(profile=vulnerable("firefox"), defense=defense, seed=seed)
+        ) as browser:
             page = browser.open_page(attack.page_url)
             attack.setup(browser, page)
             try:

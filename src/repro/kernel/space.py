@@ -76,4 +76,4 @@ class KernelSpace:
             raise
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<KernelSpace {self.label} queue={len(self.queue)} clock={self.clock.now}>"
+        return f"<KernelSpace {self.label} clock={self.clock.now}>"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import JSKernel
+from repro.defenses import JSKernelDefense
 from repro.runtime import Browser, chrome, vulnerable
 
 
@@ -27,9 +27,7 @@ def page(browser):
 @pytest.fixture
 def kernel_browser():
     """A bug-free Chrome browser with the full JSKernel installed."""
-    b = Browser(profile=chrome(), seed=1)
-    JSKernel().install(b)
-    return b
+    return Browser(profile=chrome(), defense=JSKernelDefense(), seed=1)
 
 
 @pytest.fixture

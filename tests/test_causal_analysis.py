@@ -3,9 +3,9 @@
 Covers the happens-before graph builder, the race detector (the
 acceptance pair: ≥ 1 race under the baseline CVE scenario, 0 under
 JSKernel), the determinism auditor (divergence 0 under the general policy
-across ≥ 3 seeds, > 0 under baseline), the critical-path profiler, the
-harness property hook, the kernel queue-depth counter and the ``analyze``
-CLI surface.
+across ≥ 3 seeds on every Table I row, > 0 under baseline), the
+critical-path profiler, the kernel queue-depth counter and the
+``analyze`` CLI surface.
 """
 
 import json
@@ -14,12 +14,16 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.critpath import profile_scenario
-from repro.analysis.determinism import audit_scenario, schedule_divergence
+from repro.analysis.determinism import (
+    DETERMINISTIC_DEFENSES,
+    audit_scenario,
+    schedule_divergence,
+)
 from repro.analysis.hbgraph import build_hb_graph
 from repro.analysis.races import analyze_scenario, detect_races
 from repro.analysis.scenario import run_traced_scenario
-from repro.harness import run_table1
-from repro.kernel import JSKernel
+from repro.attacks import attack_names
+from repro.defenses import JSKernelDefense
 from repro.runtime import Browser, chrome
 from repro.runtime.origin import parse_url
 from repro.runtime.simtime import ms
@@ -92,8 +96,7 @@ def test_a_promise_settled_off_its_thread_orders_its_reaction():
     shared = {}
     seen = []
     with capture(Tracer()) as tracer:
-        browser = Browser(profile=chrome(), seed=1)
-        JSKernel().install(browser)
+        browser = Browser(profile=chrome(), defense=JSKernelDefense(), seed=1)
         page = browser.open_page("https://app.example/")
         browser.network.host_simple(parse_url("https://app.example/f"), 64_000)
 
@@ -170,12 +173,23 @@ def test_detect_races_ignores_same_thread_and_read_read_pairs():
 # ----------------------------------------------------------------------
 # determinism audit — the acceptance pair
 # ----------------------------------------------------------------------
-def test_jskernel_schedule_is_seed_independent():
-    report = audit_scenario("cache-attack", "jskernel", seeds=AUDIT_SEEDS)
+#: Cells whose scenario dispatches nothing: the storage policy blocks the
+#: private-mode IndexedDB write before any task runs.
+EMPTY_SCHEDULES = {("cve-2017-7843", "jskernel")}
+
+
+@pytest.mark.parametrize("defense", DETERMINISTIC_DEFENSES)
+@pytest.mark.parametrize("attack", attack_names())
+def test_jskernel_schedule_is_seed_independent(attack, defense):
+    report = audit_scenario(attack, defense, seeds=AUDIT_SEEDS)
     assert report["deterministic"]
     assert report["divergence"] == 0
     assert report["first_divergence"] is None
-    assert report["schedule_length"] > 0  # not vacuously empty
+    if (attack, defense) in EMPTY_SCHEDULES:
+        assert report["schedule_length"] == 0
+        assert report["outcomes"][0].startswith("blocked: indexedDB access denied")
+    else:
+        assert report["schedule_length"] > 0  # not vacuously empty
 
 
 def test_baseline_schedule_diverges_across_seeds():
@@ -216,27 +230,6 @@ def test_critpath_buckets_sum_exactly_to_total():
 def test_critpath_under_jskernel_attributes_kernel_overhead():
     report = profile_scenario("cve-2018-5092", "jskernel", seed=0)
     assert any(run["kernel_ns"] > 0 for run in report["runs"])
-
-
-# ----------------------------------------------------------------------
-# harness property
-# ----------------------------------------------------------------------
-def test_matrix_run_can_assert_determinism_as_a_property():
-    result = run_table1(
-        attacks=["cve-2018-5092"],
-        defenses=["legacy-chrome", "jskernel"],
-        determinism_seeds=(0, 1),
-    )
-    assert result.determinism is not None
-    assert result.determinism["cve-2018-5092"]["jskernel"]["divergence"] == 0
-    # only determinism-promising defenses are held to divergence 0
-    assert result.determinism_violations() == []
-
-
-def test_matrix_without_audit_reports_no_violations():
-    result = run_table1(attacks=["cve-2018-5092"], defenses=["jskernel"])
-    assert result.determinism is None
-    assert result.determinism_violations() == []
 
 
 # ----------------------------------------------------------------------

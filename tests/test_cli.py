@@ -14,7 +14,8 @@ Three properties:
 The same doc-drift guard covers the tests: every test DESIGN.md's
 experiment index names for a paper artefact exists, and no test file
 lives outside the one tier-1 root (``perfbench/`` has its own smoke
-tests).
+tests).  DESIGN.md's engine section names exactly the registered cell
+kinds.
 """
 
 import re
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import COMMANDS, build_parser, main
+from repro.harness import parallel
 from repro.runtime.simulator import DEFAULT_MAX_EVENTS, MAX_EVENTS_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -276,6 +278,20 @@ def test_design_names_an_existing_test_for_every_paper_artefact():
         assert path.startswith("tests/") and name.startswith("test_"), row
         source = (ROOT / path).read_text(encoding="utf-8")
         assert re.search(rf"^def {name}\(", source, re.MULTILINE), node
+
+
+def test_design_names_every_cell_kind():
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    engine = text.split("## 10. ")[1].split("\n## ")[0]
+    listed = re.search(r"module-level\s+runner \(([^)]*)\)", engine).group(1)
+    # tests may register probe kinds of their own; the package's are the
+    # ones defined under repro
+    registered = sorted(
+        kind
+        for kind, runner in parallel._RUNNERS.items()
+        if runner.__module__.startswith("repro.")
+    )
+    assert sorted(re.findall(r"`([^`]+)`", listed)) == registered
 
 
 def test_every_test_file_lives_under_one_root():

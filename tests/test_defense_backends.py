@@ -8,6 +8,8 @@ neither install nor a page run touches the global ``random`` module
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from repro.runtime.clock import (
     QuantizedClockPolicy,
 )
 from repro.runtime.simtime import ms
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 Q, F, D, EXACT = QuantizedClockPolicy, FuzzyClockPolicy, DeterministicClockPolicy, ClockPolicy
 
@@ -50,6 +54,19 @@ def test_every_registered_defense_is_a_backend(name):
     assert isinstance(defense, DefenseBackend)
     # perfbench times defense install by wrapping this one method
     assert type(defense).install is DefenseBackend.install
+
+
+def test_only_the_backend_appends_browser_hooks():
+    """``DefenseBackend.install`` is the one place a defense reaches the
+    browser's hook lists, so perfbench's ``defenses.install`` span sees
+    every install (JSKernel included: it goes in through JSKernelDefense)."""
+    writer = re.compile(r"\b(page|worker)_hooks\.append\(")
+    found = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if writer.search(path.read_text())
+    )
+    assert found == ["defenses/backend.py"]
 
 
 @pytest.mark.parametrize("name", available())

@@ -12,7 +12,7 @@ byte-identical across all of them.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import JSKernel
+from repro.defenses import JSKernelDefense
 from repro.runtime import Browser, chrome
 from repro.runtime.origin import parse_url
 from repro.runtime.simtime import ms
@@ -20,8 +20,7 @@ from repro.runtime.simtime import ms
 
 def observable_trace(secret_ms_a: float, secret_ms_b: float, seed: int) -> list:
     """Run a multi-channel observer program; return everything it can see."""
-    browser = Browser(profile=chrome(), seed=seed)
-    JSKernel().install(browser)
+    browser = Browser(profile=chrome(), defense=JSKernelDefense(), seed=seed)
     browser.network.host_simple(
         parse_url("https://app.example/resource"), 20_000, body="r"
     )

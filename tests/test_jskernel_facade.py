@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.defenses import JSKernelDefense
 from repro.kernel import JSKernel, KernelEvent, KernelEventQueue, SchedulingGrid
 from repro.kernel.policies import DeterministicSchedulingPolicy
 from repro.kernel.policy import CompositePolicy
@@ -28,30 +29,21 @@ def test_kernel_without_cve_policies():
     assert kernel.policy.find("worker-lifecycle") is None
 
 
-def test_install_tracks_instances():
+def test_each_page_gets_its_own_instance():
     kernel = JSKernel()
-    browser = Browser(profile=chrome(), seed=1)
-    kernel.install(browser)
+    browser = Browser(profile=chrome(), defense=JSKernelDefense(kernel), seed=1)
     page_a = browser.open_page("https://a.example/")
     page_b = browser.open_page("https://b.example/")
-    assert len(kernel.instances) == 2
-    assert kernel.instance_for(page_a) is page_a.jskernel
-    assert kernel.instance_for(page_b) is not kernel.instance_for(page_a)
-
-
-def test_instance_for_unknown_page_is_none():
-    kernel = JSKernel()
-    browser = Browser(profile=chrome(), seed=1)
-    kernel.install(browser)
-    other_browser = Browser(profile=chrome(), seed=2)
-    other_page = other_browser.open_page("https://x.example/")
-    assert kernel.instance_for(other_page) is None
+    assert page_a.jskernel.kernel is kernel
+    assert page_b.jskernel.kernel is kernel
+    assert page_a.jskernel is not page_b.jskernel
+    other_page = Browser(profile=chrome(), seed=2).open_page("https://x.example/")
+    assert getattr(other_page, "jskernel", None) is None
 
 
 def test_custom_grid_changes_raf_slot():
     kernel = JSKernel(grid=SchedulingGrid(grids_ns={"raf": ms(20)}))
-    browser = Browser(profile=chrome(), seed=1)
-    kernel.install(browser)
+    browser = Browser(profile=chrome(), defense=JSKernelDefense(kernel), seed=1)
     page = browser.open_page("https://x.example/")
     timestamps = []
 

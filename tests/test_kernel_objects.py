@@ -88,7 +88,6 @@ def test_queue_remove_drops_the_event():
     queue = KernelEventQueue()
     event = queue.push(KernelEvent("a", ms(1)))
     queue.remove(event)
-    assert len(queue) == 0
     assert queue.top() is None
 
 
@@ -98,15 +97,6 @@ def test_queue_skips_cancelled():
     second = queue.push(KernelEvent("b", ms(2)))
     first.cancel()
     assert queue.top() is second
-    assert len(queue) == 1
-
-
-def test_pending_count():
-    queue = KernelEventQueue()
-    queue.push(KernelEvent("a", 1))
-    ready = queue.push(KernelEvent("b", 2, {"default": lambda: None}))
-    ready.confirm()
-    assert queue.pending_count == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """O(1) live-event bookkeeping and the zero-alloc dispatch invariant.
 
-Maintained counters (``Simulator.pending_events``,
-``KernelEventQueue.__len__`` / ``pending_count``) replace heap scans.
-These tests pin the counters across every transition —
-schedule/cancel/dispatch, push/confirm/cancel/pop/remove — and the
-same-time dispatch contract of the event loop: order, one simulator
-event per task, per-event ``run_until`` granularity and the runaway
-backstop.
+A maintained counter (``Simulator.pending_events``) replaces heap
+scans.  These tests pin the counter across every transition —
+schedule/cancel/dispatch — and the same-time dispatch contract of the
+event loop: order, one simulator event per task, per-event
+``run_until`` granularity and the runaway backstop.
 """
 
 import gc
@@ -15,7 +13,6 @@ import sys
 import pytest
 
 from repro.errors import SimulationError
-from repro.kernel.kobjects import KernelEvent, KernelEventQueue
 from repro.runtime.eventloop import EventLoop
 from repro.runtime.simulator import Simulator
 from repro.runtime.task import TaskSource
@@ -94,81 +91,6 @@ class TestSimulatorPendingEvents:
             call.cancel()
         naive = sum(1 for c in calls if not c.cancelled)
         assert sim.pending_events == naive
-
-
-# ----------------------------------------------------------------------
-# KernelEventQueue len / pending_count
-# ----------------------------------------------------------------------
-
-def _kevent(kind="timeout"):
-    return KernelEvent(kind, 0, {"default": _noop})
-
-
-class TestKernelQueueCounts:
-    def test_push_confirm_counts(self):
-        queue = KernelEventQueue()
-        a, b = _kevent(), _kevent()
-        queue.push(a)
-        queue.push(b)
-        assert len(queue) == 2
-        assert queue.pending_count == 2
-        b.confirm()
-        assert len(queue) == 2
-        assert queue.pending_count == 1
-
-    def test_cancel_pending_and_ready(self):
-        queue = KernelEventQueue()
-        a, b = _kevent(), _kevent()
-        queue.push(a)
-        queue.push(b)
-        b.confirm()
-        a.cancel()  # cancelled while PENDING
-        assert len(queue) == 1
-        assert queue.pending_count == 0
-        b.cancel()  # cancelled while READY
-        assert len(queue) == 0
-        assert queue.pending_count == 0
-
-    def test_cancel_idempotent(self):
-        queue = KernelEventQueue()
-        a = _kevent()
-        queue.push(a)
-        a.cancel()
-        a.cancel()
-        assert len(queue) == 0
-        assert queue.pending_count == 0
-
-    def test_pop_and_remove_forget(self):
-        queue = KernelEventQueue()
-        events = [_kevent() for _ in range(4)]
-        for event in events:
-            event.confirm()
-            queue.push(event)
-        popped = queue.pop()
-        assert popped is events[0]
-        assert len(queue) == 3
-        queue.remove(events[1])
-        assert len(queue) == 2
-        queue.remove_by_id(events[2].id)
-        assert len(queue) == 1
-        # a late cancel on a removed event must not corrupt the counters
-        events[1].cancel()
-        assert len(queue) == 1
-        assert queue.pending_count == 0
-
-    def test_counts_match_scan_after_mixed_transitions(self):
-        queue = KernelEventQueue()
-        events = [_kevent() for _ in range(10)]
-        for event in events:
-            queue.push(event)
-        for event in events[::2]:
-            event.confirm()
-        for event in events[1:6:2]:
-            event.cancel()
-        live = [e for e in events if e.status in ("pending", "ready")]
-        pending = [e for e in events if e.status == "pending"]
-        assert len(queue) == len(live)
-        assert queue.pending_count == len(pending)
 
 
 # ----------------------------------------------------------------------

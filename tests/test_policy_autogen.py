@@ -77,6 +77,7 @@ def test_extraction_declines_uaf_class():
 
 def test_extracted_policy_blocks_exploit_but_not_benign_use():
     from repro.attacks import create
+    from repro.defenses import JSKernelDefense
     from repro.kernel import JSKernel
     from repro.runtime import Browser, vulnerable
     from repro.runtime.simtime import ms
@@ -84,17 +85,22 @@ def test_extracted_policy_blocks_exploit_but_not_benign_use():
     result = extract_policy_for("cve-2013-1714")
 
     # exploit blocked
-    attack_result_browser = Browser(profile=vulnerable("firefox"), seed=3)
-    kernel_b = JSKernel(policies=[result.policy])
-    kernel_b.install(attack_result_browser)
+    attack_result_browser = Browser(
+        profile=vulnerable("firefox"),
+        defense=JSKernelDefense(JSKernel(policies=[result.policy])),
+        seed=3,
+    )
     attack = create("cve-2013-1714")
     page = attack_result_browser.open_page(attack.page_url)
     attack.setup(attack_result_browser, page)
     assert attack.attempt(attack_result_browser, page) is False
 
     # benign same-origin worker XHR still works
-    browser = Browser(profile=vulnerable("firefox"), seed=4)
-    JSKernel(policies=[result.policy]).install(browser)
+    browser = Browser(
+        profile=vulnerable("firefox"),
+        defense=JSKernelDefense(JSKernel(policies=[result.policy])),
+        seed=4,
+    )
     browser.network.host_simple(parse_url("https://app.example/api"), 200, body="ok")
     benign_page = browser.open_page("https://app.example/")
     seen = {}
