@@ -29,7 +29,7 @@ def test_kernel_without_cve_policies():
     assert kernel.policy.find("worker-lifecycle") is None
 
 
-def test_each_page_gets_its_own_instance():
+def test_install_tracks_instances():
     kernel = JSKernel()
     browser = Browser(profile=chrome(), defense=JSKernelDefense(kernel), seed=1)
     page_a = browser.open_page("https://a.example/")
@@ -37,6 +37,10 @@ def test_each_page_gets_its_own_instance():
     assert page_a.jskernel.kernel is kernel
     assert page_b.jskernel.kernel is kernel
     assert page_a.jskernel is not page_b.jskernel
+
+
+def test_instance_for_unknown_page_is_none():
+    Browser(profile=chrome(), defense=JSKernelDefense(JSKernel()), seed=1)
     other_page = Browser(profile=chrome(), seed=2).open_page("https://x.example/")
     assert getattr(other_page, "jskernel", None) is None
 
