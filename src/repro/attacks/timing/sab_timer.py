@@ -44,8 +44,7 @@ class SabTimerAttack(TimingAttack):
 
             def worker_main(ws) -> None:
                 # tight increment loop, declared as a rate activity
-                counter_native = getattr(counter, "_native", counter)
-                counter_native.start_increment_activity(COUNTER_RATE)
+                counter.start_increment_activity(COUNTER_RATE)
                 ws.postMessage("spinning")
 
             worker = scope.Worker(worker_main)

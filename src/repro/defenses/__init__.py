@@ -3,7 +3,7 @@
 from .backend import DefenseBackend
 from .base import available, create, make_browser, register
 from .chromezero import ChromeZero, PolyfillWorkerHandle
-from .detbrowser import DetBrowser, DetSharedBuffer
+from .detbrowser import DetBrowser
 from .deterfox import DeterFox
 from .fuzzyfox import Fuzzyfox
 from .jskernel_defense import (
@@ -60,7 +60,6 @@ __all__ = [
     "ChromeZero",
     "DefenseBackend",
     "DetBrowser",
-    "DetSharedBuffer",
     "DeterFox",
     "Fuzzyfox",
     "JSKernelDefense",

@@ -12,7 +12,7 @@ method.
 A defense that touches a page in several ways does so in one ``on_page``
 hook, in the order it states there (JavaScript Zero polyfills ``Worker``
 before it wraps the scope; Deterministic Browser installs deterministic
-delivery before it wraps SharedArrayBuffer).
+delivery before it sets its shared-memory policy).
 """
 
 from __future__ import annotations

@@ -12,7 +12,11 @@ scope attribute to a kernel wrapper implementing two-stage scheduling:
 
 Everything the page can observe time through — timers, rAF, fetch,
 element onload/onerror, window messaging, CSS animation sampling, video
-clocks, SharedArrayBuffer counters — is wrapped here.
+clocks — is wrapped here.  Shared memory is interposed differently:
+SharedArrayBuffer counters and shared objects are not wrapped per
+object; the scope's agent gets a :class:`KernelSharedMemPolicy`, and the
+shared heap's access gate consults the policy of the agent performing
+each access.
 """
 
 from __future__ import annotations
@@ -346,38 +350,31 @@ class KernelInterface:
         scope.createVideo = k_create_video
 
     # ------------------------------------------------------------------
-    # SharedArrayBuffer counters
+    # shared memory: SharedArrayBuffer counters and the shared-object runtime
     # ------------------------------------------------------------------
-    def install_shared_buffers(self, scope) -> None:
-        """Wrap SharedArrayBuffer: reads are paced onto kernel slots."""
+    def install_shared_memory(self, scope) -> None:
+        """Interpose shared memory for this scope's agent.
+
+        ``new SharedArrayBuffer`` is a kernel crossing, and every access
+        this agent makes to shared memory (SAB counter loads/stores,
+        dict/array ops, atomics, the counter-thread clock's loads) is one
+        too, paced onto the message-slot grid by the agent's
+        :class:`KernelSharedMemPolicy`.  A read is interposed by the
+        policy of the agent performing it, whichever agent created the
+        object.  Because the policy guards collection, the shared GC is
+        forced onto the safe stop-the-world path regardless of the
+        profile's bug flags.
+        """
         kspace = self.kspace
         natives = kspace.natives
         natives["SharedArrayBuffer"] = scope.SharedArrayBuffer
-        interface = self
 
         def k_shared_buffer(size: int = 8):
             kspace.api_call("SharedArrayBuffer", {})
-            native = natives["SharedArrayBuffer"](size)
-            return KernelSharedBuffer(interface, native)
+            return natives["SharedArrayBuffer"](size)
 
         scope.SharedArrayBuffer = k_shared_buffer
-
-    # ------------------------------------------------------------------
-    # shared-memory object runtime
-    # ------------------------------------------------------------------
-    def install_sharedmem(self, scope) -> None:
-        """Interpose the shared-object runtime for this scope.
-
-        Every access (dict/array ops, atomics, the counter-thread clock's
-        loads) becomes a kernel crossing paced onto the message-slot
-        grid, and — because the policy guards collection — the shared GC
-        is forced onto the safe stop-the-world path regardless of the
-        profile's bug flags.
-        """
-        api = getattr(scope, "sharedmem", None)
-        if api is None:
-            return
-        api.set_policy(KernelSharedMemPolicy(self.kspace))
+        scope.sharedmem.set_policy(KernelSharedMemPolicy(kspace))
 
     # ------------------------------------------------------------------
     # storage gating (CVE-2017-7843 policy)
@@ -439,57 +436,17 @@ class KernelVideo:
         )
 
 
-class KernelSharedBuffer:
-    """SharedArrayBuffer stub: every access crosses into the kernel.
-
-    The paper routes SAB accesses through the kernel event queue; we model
-    that by *pacing* each read to the kernel's message-slot grid, which
-    degrades the counter from a nanosecond timer to grid resolution.
-    """
-
-    def __init__(self, interface: KernelInterface, native):
-        self._kspace = interface.kspace
-        self._native = native
-
-    def _pace(self) -> None:
-        sim = self._kspace.loop.sim
-        grid = self._kspace.grid.grid_for("message")
-        now = sim.now
-        boundary = ((now // grid) + 1) * grid
-        sim.consume(boundary - now)
-
-    def load(self) -> int:
-        """Atomics.load via the kernel (slot-paced)."""
-        self._kspace.api_call("sab.load", {})
-        self._pace()
-        return self._native.load()
-
-    def store(self, value: int) -> None:
-        """Atomics.store via the kernel (slot-paced)."""
-        self._kspace.api_call("sab.store", {})
-        self._pace()
-        self._native.store(value)
-
-    def start_increment_activity(self, rate_per_ms: float) -> None:
-        """Writer-side tight loop (workers use the native fast path)."""
-        self._kspace.api_call("sab.increment", {})
-        self._native.start_increment_activity(rate_per_ms)
-
-    def stop_increment_activity(self) -> None:
-        """Stop the writer loop."""
-        self._native.stop_increment_activity()
-
-
 class KernelSharedMemPolicy(SharedMemAccessPolicy):
     """Shared-memory access policy: every access crosses into the kernel.
 
-    The same model as :class:`KernelSharedBuffer` generalised to the
-    structured shared-object runtime: each access is a kernel API call
-    (charged, counted, vetoable) whose completion is paced to the
-    kernel's message-slot grid.  Pacing the *access time* is what
-    degrades the counter-thread clock — the spin counter's value is a
-    function of when the load lands, so grid-aligned loads can only
-    observe grid-resolution time.
+    The paper routes SharedArrayBuffer accesses through the kernel event
+    queue; each access is a kernel API call (charged, counted, vetoable,
+    named ``sab.<access>`` or ``shm.<access>`` after the object's
+    family) whose completion is paced to the kernel's message-slot grid.
+    Pacing the *access time* is what degrades the SAB counter timer and
+    the counter-thread clock — a counter's value is a function of when
+    the load lands, so grid-aligned loads can only observe
+    grid-resolution time.
     """
 
     name = "jskernel"
@@ -499,7 +456,7 @@ class KernelSharedMemPolicy(SharedMemAccessPolicy):
         self._kspace = kspace
 
     def before_access(self, sim, cell, op: str, access: str) -> None:
-        self._kspace.api_call(f"shm.{access}", {"obj": cell.obj_id})
+        self._kspace.api_call(f"{cell.api}.{access}", {"obj": cell.obj_id})
         grid = self._kspace.grid.grid_for("message")
         boundary = ((sim.now // grid) + 1) * grid
         sim.consume(boundary - sim.now)

@@ -46,8 +46,7 @@ class JSKernelInstance:
         self.interface.install_window_messaging(scope)
         self.interface.install_animations(scope)
         self.interface.install_media(scope)
-        self.interface.install_shared_buffers(scope)
-        self.interface.install_sharedmem(scope)
+        self.interface.install_shared_memory(scope)
         self.interface.install_storage(scope, page)
 
         self.thread_manager = ThreadManager(self, page)

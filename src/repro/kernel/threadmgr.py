@@ -149,8 +149,7 @@ class ThreadManager:
             interface = KernelInterface(kspace_w)
             interface.install_clocks(ws)
             interface.install_timers(ws)
-            interface.install_shared_buffers(ws)
-            interface.install_sharedmem(ws)
+            interface.install_shared_memory(ws)
             manager._install_worker_messaging(kthread, kspace_w, ws)
             manager._install_worker_fetch(kthread, kspace_w, interface, ws)
             manager._install_worker_xhr(kthread, kspace_w, ws)

@@ -117,7 +117,7 @@ class Browser:
 
     def make_shared_buffer(self, size: int = 8) -> SharedCounterBuffer:
         """``new SharedArrayBuffer(...)`` used as a counter timer."""
-        return SharedCounterBuffer(self.sim)
+        return SharedCounterBuffer(self.sharedmem)
 
     # ------------------------------------------------------------------
     # history (history-sniffing substrate)

@@ -15,22 +15,26 @@ Two distinct objects matter to the paper:
   base value.  This keeps concurrent reads exact without simulating every
   increment.
 
-The counter math lives in :class:`repro.runtime.sharedmem.atomics`
-(:class:`RateActivity` and :class:`AtomicCounterCore`, re-exported here
-for compatibility); this module keeps only the flat counter's tracing
-and cost accounting, whose event stream is pinned byte-for-byte by the
-golden digests in ``tests/golden/sharedbuf_digests.json``.
+The counter is an object of the shared-memory runtime: it is created on
+the browser's :class:`~repro.runtime.sharedmem.heap.SharedHeap`, and its
+``load``/``store`` pass the heap's one access gate.  A read is therefore
+interposed by the :class:`~repro.runtime.sharedmem.api.AccessPolicy` of
+the agent performing it (a worker's load is charged to the worker, not
+to the page that created the buffer); a defense that mediates shared
+memory needs no SAB-specific wrapper.  The writer's increment activity
+is not interposed.  The counter math is
+:class:`~repro.runtime.sharedmem.atomics.AtomicCounterCore`; the event
+stream is pinned byte-for-byte by the golden digests in
+``tests/golden/sharedbuf_digests.json``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from ..errors import SimulationError
 from ..trace import state_access
 from .heap import NativePtr, SimHeap
-from .sharedmem.atomics import ELEMENT_ACCESS_COST, AtomicCounterCore, RateActivity
-from .simulator import Simulator
+from .sharedmem.atomics import ELEMENT_ACCESS_COST, AtomicCounterCore
+from .sharedmem.heap import SharedHeap
 
 
 class SimArrayBuffer:
@@ -81,20 +85,34 @@ class SimArrayBuffer:
 
 
 class SharedCounterBuffer:
-    """SharedArrayBuffer used as a monotone counter / fine-grained timer."""
+    """SharedArrayBuffer used as a monotone counter / fine-grained timer.
 
-    def __init__(self, sim: Simulator, label: str = "SharedArrayBuffer"):
-        self.sim = sim
+    An object of the shared-memory runtime: ``load`` and ``store`` pass
+    :meth:`SharedHeap.access <repro.runtime.sharedmem.heap.SharedHeap.access>`,
+    so the policy of the agent performing the access interposes it, as
+    it does for every shared cell.  The buffer is not an arena cell: the
+    shared GC never frees it.
+    """
+
+    #: Kernel crossing family, trace state family, and GC liveness, as
+    #: the heap's access gate reads them off a shared cell.
+    api = "sab"
+    kind = "sab"
+    freed = False
+
+    def __init__(self, heap: SharedHeap, label: str = "SharedArrayBuffer"):
+        self.heap = heap
+        self.sim = heap.sim
         self.label = label
-        self.trace_obj = f"sab:{label}#{sim.next_object_seq('sab')}"
+        self.obj_id = f"sab:{label}#{self.sim.next_object_seq('sab')}"
         self._core = AtomicCounterCore(0)
 
     # ------------------------------------------------------------------
-    # writer side (worker)
+    # writer side (worker; not interposed)
     # ------------------------------------------------------------------
     def start_increment_activity(self, rate_per_ms: float) -> None:
         """Declare a tight increment loop starting now at ``rate_per_ms``."""
-        state_access(self.sim, self.trace_obj, "write", "sab", access="increment_start")
+        state_access(self.sim, self.obj_id, "write", "sab", access="increment_start")
         if self._core.activity is not None:
             self.stop_increment_activity()
         self._core.start_rate(self.sim.now, rate_per_ms)
@@ -103,13 +121,12 @@ class SharedCounterBuffer:
         """End the current increment loop, freezing the counter."""
         if self._core.activity is None:
             return
-        state_access(self.sim, self.trace_obj, "write", "sab", access="increment_stop")
+        state_access(self.sim, self.obj_id, "write", "sab", access="increment_stop")
         self._core.stop_rate(self.sim.now)
 
     def store(self, value: int) -> None:
         """Atomics.store: set the counter (stops any running activity)."""
-        self.sim.consume(ELEMENT_ACCESS_COST)
-        state_access(self.sim, self.trace_obj, "write", "sab", access="store")
+        self.heap.access(self, "write", "store", ELEMENT_ACCESS_COST)
         self.stop_increment_activity()
         self._core.set_value(value)
 
@@ -118,25 +135,13 @@ class SharedCounterBuffer:
     # ------------------------------------------------------------------
     def load(self) -> int:
         """Atomics.load: read the counter at the caller's local time."""
-        self.sim.consume(ELEMENT_ACCESS_COST)
-        state_access(self.sim, self.trace_obj, "read", "sab", access="load")
-        return self.load_raw()
-
-    def load_raw(self) -> int:
-        """Read without charging access cost (internal use)."""
-        return self._core.value_at(self.sim.now)
+        policy = self.heap.access(self, "read", "load", ELEMENT_ACCESS_COST)
+        raw = self._core.value_at(self.sim.now)
+        if policy is not None:
+            return policy.counter_value(self, self._core, raw)
+        return raw
 
     @property
     def incrementing(self) -> bool:
         """True while a rate activity is running."""
         return self._core.activity is not None
-
-    @property
-    def current_activity(self) -> Optional[RateActivity]:
-        """The running rate activity, if any (read by SAB-wrapping defenses)."""
-        return self._core.activity
-
-
-def make_timer_pair(sim: Simulator) -> Tuple[SharedCounterBuffer, SharedCounterBuffer]:
-    """Convenience: (counter, flag) buffers as SAB timer attacks use."""
-    return SharedCounterBuffer(sim, "sab-counter"), SharedCounterBuffer(sim, "sab-flag")

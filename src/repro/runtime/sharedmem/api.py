@@ -7,7 +7,8 @@ attaches the agent to the browser-wide :class:`SharedHeap` — silently
 produce byte-identical traces.
 
 Defenses interpose by installing an :class:`AccessPolicy` on the scope's
-API (``scope.sharedmem.set_policy(...)``).  The policy is bound to the
+API (``scope.sharedmem.set_policy(...)``); the one policy covers the
+shared objects and the SharedArrayBuffer counter.  The policy is bound to the
 *agent*, not the object: shared objects cross threads freely, so the
 policy that applies to an access is the one installed for the thread
 performing it.  A scope with no policy installed accesses shared memory
@@ -36,7 +37,11 @@ class AccessPolicy:
     guards_gc = False
 
     def before_access(self, sim, cell, op: str, access: str) -> None:
-        """Called before every data access by the bound agent (pacing)."""
+        """Called before every data access by the bound agent (pacing).
+
+        ``cell`` is a :class:`SharedCell` or the flat SharedArrayBuffer
+        counter; both carry ``obj_id``, ``kind`` and ``api``.
+        """
 
     def before_lock(self, sim, lock, thread: str, held) -> None:
         """Called before every lock acquisition by the bound agent.
@@ -47,7 +52,7 @@ class AccessPolicy:
         """
 
     def counter_value(self, cell, core, raw: int) -> int:
-        """Transform a counter-style read (clock-defense hook)."""
+        """Transform a counter-style read of ``cell`` (clock-defense hook)."""
         return raw
 
 

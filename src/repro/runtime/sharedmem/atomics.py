@@ -7,13 +7,17 @@ sequential-reference hypothesis test pins.
 
 Two pieces live here because the flat SAB counter shares them:
 
-* :class:`RateActivity` — the declared increments-at-rate-``r`` interval
-  (moved from ``repro.runtime.sharedbuf``, which re-exports it);
+* :class:`RateActivity` — the declared increments-at-rate-``r`` interval;
 * :class:`AtomicCounterCore` — the static-value/rate-activity state
   machine behind both :class:`AtomicCell` spin counters and
   :class:`~repro.runtime.sharedbuf.SharedCounterBuffer`.  Pure math:
-  no tracing, no cost accounting, so the flat counter's trace stream is
-  byte-identical to its pre-sharedmem form.
+  no tracing, no cost accounting.
+
+Both counters read the same way: one access through
+:meth:`SharedHeap.access`, which lets the policy of the agent performing
+the read interpose, then :meth:`AccessPolicy.counter_value` on the raw
+value.  A defense therefore covers the flat SAB counter and the atomic
+spin counter with one policy.
 
 Wait semantics
 --------------

@@ -67,6 +67,9 @@ UNSAFE_SWEEP_DELAY = 200_000
 class SharedCell:
     """One slot in the shared arena."""
 
+    #: Kernel crossing family (the flat SAB counter's is ``"sab"``).
+    api = "shm"
+
     __slots__ = ("addr", "obj_id", "kind", "label", "payload", "refcount", "freed", "marked")
 
     def __init__(self, addr: int, obj_id: str, kind: str, label: str, payload):

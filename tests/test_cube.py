@@ -15,6 +15,9 @@ from repro.harness.cube import (
 from repro.trace import MetricsRegistry
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "cube_expected.json")
+DETBROWSER_TIMING = os.path.join(
+    os.path.dirname(__file__), "golden", "detbrowser_timing_expected.json"
+)
 
 
 def load_fixture() -> dict:
@@ -142,6 +145,22 @@ def test_cube_reproduces_the_fixture_divergence():
             delay = result.overhead[attack][defense]["queue_delay"]
             assert delay["count"] > 0, (attack, defense)
             assert delay["p50_ns"] <= delay["p95_ns"] <= delay["p99_ns"], (attack, defense)
+
+
+def test_cube_reproduces_the_detbrowser_timing_column():
+    """The committed DetBrowser column over the ten timing rows (the cells
+    ``tests/test_noninterference.py`` certifies) is what the cube reports."""
+    from repro.attacks.expected import timing_rows
+
+    with open(DETBROWSER_TIMING, "r", encoding="utf-8") as handle:
+        fixture = json.load(handle)
+    defense = fixture["defense"]
+    result = run_cube(
+        attacks=timing_rows(), defenses=[defense], seed=fixture["seed"], cache=None
+    )
+    assert result.errors == []
+    assert {a: row[defense] for a, row in result.verdicts.items()} == fixture["verdicts"]
+    assert {a: row[defense] for a, row in result.details.items()} == fixture["details"]
 
 
 def test_cube_json_round_trips():

@@ -5,15 +5,20 @@ operation sequence alone, never of seeds or physical durations — is
 checked with hypothesis over seeds and secret workloads.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks import create as create_attack
 from repro.defenses import make_browser
-from repro.defenses.detbrowser import DetSharedBuffer
+from repro.defenses.detbrowser import DetSharedMemPolicy
+from repro.runtime import chrome
 from repro.runtime.clock import DeterministicClockPolicy
-from repro.runtime.simtime import ms, us
-from repro.runtime.simulator import Simulator
+from repro.runtime.heap import SimHeap
 from repro.runtime.sharedbuf import SharedCounterBuffer
+from repro.runtime.sharedmem import SharedHeap
+from repro.runtime.simtime import ms, us
+from repro.runtime.simulator import ExecutionFrame, Simulator
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +93,24 @@ def test_clock_edge_schedule_seed_independent(seed):
 
 
 # ----------------------------------------------------------------------
-# SAB counter reads: a pure function of read count
+# SAB counter reads: a pure function of the reader's read count
 # ----------------------------------------------------------------------
+def det_reader_heap():
+    """A shared heap with one agent, ``reader``, under DetSharedMemPolicy."""
+    sim = Simulator()
+    heap = SharedHeap(sim, SimHeap(time_fn=lambda: sim.now, sim=sim), chrome())
+    heap.attach(SimpleNamespace(name="reader")).policy = DetSharedMemPolicy(us(10))
+    return sim, heap
+
+
+def load_as(sim, thread: str, at_ns: int, buf) -> int:
+    sim.push_frame(ExecutionFrame(at_ns, thread))
+    try:
+        return buf.load()
+    finally:
+        sim.pop_frame()
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     rate=st.floats(min_value=1.0, max_value=5000.0),
@@ -97,14 +118,14 @@ def test_clock_edge_schedule_seed_independent(seed):
 )
 def test_sab_reads_are_pure_function_of_read_count(rate, true_gaps_ms):
     def read_values(gaps):
-        sim = Simulator()
-        native = SharedCounterBuffer(sim, label="det-test")
-        buf = DetSharedBuffer(native, quantum_ns=us(10))
-        native.start_increment_activity(rate)
+        sim, heap = det_reader_heap()
+        buf = SharedCounterBuffer(heap, label="det-test")
+        buf.start_increment_activity(rate)
         values = []
+        now = 0
         for gap in gaps:
-            sim.run(until=sim.now + int(ms(gap)))
-            values.append(buf.load())
+            now += int(ms(gap))
+            values.append(load_as(sim, "reader", now, buf))
         return values
 
     # however long the reader truly waits between loads, the observed
@@ -117,14 +138,16 @@ def test_sab_reads_are_pure_function_of_read_count(rate, true_gaps_ms):
 
 
 def test_sab_writer_side_stays_native():
-    sim = Simulator()
-    native = SharedCounterBuffer(sim, label="det-test")
-    buf = DetSharedBuffer(native, quantum_ns=us(10))
-    assert buf._native is native  # sab-timer's writer fast path
+    """The policy shapes what the reader sees, never the writer's true
+    progress: an agent without the policy reads the true count."""
+    sim, heap = det_reader_heap()
+    buf = SharedCounterBuffer(heap, label="det-test")
     buf.store(41)
     assert not buf.incrementing
-    buf.start_increment_activity(10.0)
+    buf.start_increment_activity(1000.0)
     assert buf.incrementing
+    assert load_as(sim, "reader", ms(5), buf) == 41 + 10  # one 10 us quantum
+    assert load_as(sim, "writer", ms(5), buf) == 41 + 5000  # true 5 ms
     buf.stop_increment_activity()
     assert not buf.incrementing
 

@@ -8,9 +8,12 @@ Deterministic Browser argues for; the Table I verdict only samples it
 statistically over a handful of seeds.
 
 The certified cells are every timing row that the expected matrix marks
-defended for ``jskernel`` and ``deterfox``, plus every timing row the
-cube fixture pins as defended for ``detbrowser``.  ``REPRO_BENCH_FULL=1``
-runs more seeds per cell.
+defended for ``jskernel`` and ``deterfox``, every timing row the
+committed DetBrowser column (``golden/detbrowser_timing_expected.json``,
+checked against the cube by ``tests/test_cube.py``) marks defended, and
+the two shared-counter extension rows, ``sab-timer`` and
+``counter-thread-clock``, under the two defenses that mediate shared
+memory.  ``REPRO_BENCH_FULL=1`` runs more seeds per cell.
 """
 
 import json
@@ -24,24 +27,30 @@ from hypothesis import strategies as st
 from repro.attacks import create
 from repro.attacks.expected import expected_matrix, timing_rows
 
-FIXTURE = Path(__file__).resolve().parent / "golden" / "cube_expected.json"
+DETBROWSER_TIMING = (
+    Path(__file__).resolve().parent / "golden" / "detbrowser_timing_expected.json"
+)
+
+#: Shared-counter timers that a policy on the reading agent must hold.
+SHARED_COUNTER_ROWS = ("sab-timer", "counter-thread-clock")
 
 EXAMPLES = 100 if os.environ.get("REPRO_BENCH_FULL", "") == "1" else 6
 
 
 def _certified_cells():
     matrix = expected_matrix()
-    verdicts = json.loads(FIXTURE.read_text(encoding="utf-8"))["verdicts"]
+    detbrowser = json.loads(DETBROWSER_TIMING.read_text(encoding="utf-8"))["verdicts"]
     cells = [
         (attack, defense)
         for attack in timing_rows()
         for defense in ("jskernel", "deterfox")
         if matrix[attack][defense]
     ]
+    cells += [(attack, "detbrowser") for attack in timing_rows() if detbrowser[attack]]
     cells += [
-        (attack, "detbrowser")
-        for attack in timing_rows()
-        if verdicts.get(attack, {}).get("detbrowser")
+        (attack, defense)
+        for attack in SHARED_COUNTER_ROWS
+        for defense in ("jskernel", "detbrowser")
     ]
     return cells
 
@@ -52,7 +61,9 @@ CELLS = _certified_cells()
 def test_every_deterministic_defense_has_certified_cells():
     defenses = {defense for _, defense in CELLS}
     assert defenses == {"jskernel", "deterfox", "detbrowser"}
-    assert sum(defense == "jskernel" for _, defense in CELLS) == len(timing_rows())
+    for defense in ("jskernel", "detbrowser"):
+        certified = [attack for attack, d in CELLS if d == defense]
+        assert certified == timing_rows() + list(SHARED_COUNTER_ROWS), defense
 
 
 @pytest.mark.parametrize("attack_name, defense", CELLS)

@@ -3,10 +3,20 @@
 import pytest
 
 from repro.errors import SimulationError, UseAfterFreeError
+from repro.runtime import chrome
 from repro.runtime.heap import SimHeap
-from repro.runtime.sharedbuf import SharedCounterBuffer, SimArrayBuffer, make_timer_pair
+from repro.runtime.sharedbuf import SharedCounterBuffer, SimArrayBuffer
+from repro.runtime.sharedmem import SharedHeap
 from repro.runtime.simtime import ms
 from repro.runtime.simulator import ExecutionFrame, Simulator
+
+
+def new_counter():
+    """A counter on a shared heap outside any browser (no agent attached,
+    so no policy interposes)."""
+    sim = Simulator()
+    heap = SharedHeap(sim, SimHeap(time_fn=lambda: sim.now, sim=sim), chrome())
+    return sim, SharedCounterBuffer(heap)
 
 
 def test_array_buffer_read_write():
@@ -43,8 +53,7 @@ def test_transferred_view_shares_store():
 
 
 def test_counter_tracks_rate_activity():
-    sim = Simulator()
-    counter = SharedCounterBuffer(sim)
+    sim, counter = new_counter()
     frame = ExecutionFrame(0, "w")
     sim.push_frame(frame)
     counter.start_increment_activity(rate_per_ms=1000.0)
@@ -56,8 +65,7 @@ def test_counter_tracks_rate_activity():
 
 
 def test_counter_freezes_when_stopped():
-    sim = Simulator()
-    counter = SharedCounterBuffer(sim)
+    sim, counter = new_counter()
     frame = ExecutionFrame(0, "w")
     sim.push_frame(frame)
     counter.start_increment_activity(1000.0)
@@ -73,44 +81,30 @@ def test_counter_freezes_when_stopped():
 
 
 def test_store_resets_counter():
-    sim = Simulator()
-    counter = SharedCounterBuffer(sim)
+    _sim, counter = new_counter()
     counter.store(42)
-    assert counter.load_raw() == 42
+    assert counter.load() == 42
     assert not counter.incrementing
 
 
 def test_restarting_activity_accumulates():
-    sim = Simulator()
-    counter = SharedCounterBuffer(sim)
+    sim, counter = new_counter()
     frame = ExecutionFrame(0, "w")
     sim.push_frame(frame)
     counter.start_increment_activity(1000.0)
     frame.consume(ms(2))
     counter.start_increment_activity(2000.0)  # implicit stop + restart
     frame.consume(ms(1))
-    assert counter.load_raw() == pytest.approx(2000 + 2000, abs=20)
+    assert counter.load() == pytest.approx(2000 + 2000, abs=20)
     sim.pop_frame()
-
-
-def test_make_timer_pair():
-    sim = Simulator()
-    counter, flag = make_timer_pair(sim)
-    assert counter is not flag
-    assert counter.load_raw() == 0
 
 
 def test_counter_math_is_the_sharedmem_atomics_core():
     """SharedCounterBuffer delegates to the same state machine AtomicCell
-    uses; RateActivity here IS the atomics one (re-exported)."""
-    from repro.runtime.sharedbuf import RateActivity
-    from repro.runtime.sharedmem.atomics import (
-        AtomicCounterCore,
-        RateActivity as AtomicsRateActivity,
-    )
+    uses."""
+    from repro.runtime.sharedmem.atomics import AtomicCounterCore
 
-    assert RateActivity is AtomicsRateActivity
-    counter = SharedCounterBuffer(Simulator())
+    _sim, counter = new_counter()
     assert isinstance(counter._core, AtomicCounterCore)
 
 
@@ -146,3 +140,45 @@ def test_sab_timer_traces_pinned_byte_identical():
         assert len(tracer) == entry["events"], defense
         assert sha(dump_chrome_trace(tracer)) == entry["chrome_sha256"], defense
         assert sha(format_timeline(tracer)) == entry["timeline_sha256"], defense
+
+
+def page_view_after_worker_loads(defense: str, worker_loads: int) -> dict:
+    """The page creates a running SAB counter and a worker that loads it
+    ``worker_loads`` times before posting back; on the message the page
+    reads its clock and the counter."""
+    from repro.defenses import make_browser
+
+    browser = make_browser(defense, seed=0)
+    page = browser.open_page("https://app.example/")
+    seen = {}
+
+    def script(scope):
+        sab = scope.SharedArrayBuffer(8)
+        sab.start_increment_activity(1000.0)
+
+        def worker_main(ws):
+            for _ in range(worker_loads):
+                sab.load()
+            ws.postMessage("done")
+
+        def on_done(_event):
+            seen["now"] = scope.performance.now()
+            seen["load"] = sab.load()
+
+        scope.Worker(worker_main).onmessage = on_done
+
+    page.run_script(script)
+    browser.run(until=ms(2000))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "defense, page_reads", [("jskernel", ("now",)), ("detbrowser", ("now", "load"))]
+)
+def test_a_workers_loads_are_interposed_by_the_workers_policy(defense, page_reads):
+    """A read is interposed by the policy of the agent performing it, so a
+    worker's loads of a page-created SAB leave the page's kernel clock
+    (jskernel) and the page's deterministic read count (detbrowser) alone."""
+    idle = page_view_after_worker_loads(defense, 0)
+    busy = page_view_after_worker_loads(defense, 500)
+    assert [busy[key] for key in page_reads] == [idle[key] for key in page_reads]
