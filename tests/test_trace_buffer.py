@@ -4,7 +4,7 @@ The tracer stores events as uniform tuples and materialises the
 Chrome-trace dicts lazily (see ``repro.trace.tracer``).  These tests pin
 that refactor three ways:
 
-* golden digests: three seeded scenarios —
+* golden digests: seven seeded scenarios —
   ``tests/golden/trace_digests.json`` — must still hash identically;
 * a full golden export: the small scenario's Chrome trace is compared
   byte for byte against the committed file;
@@ -18,6 +18,8 @@ in the same commit.
 import hashlib
 import json
 import os
+
+import pytest
 
 from repro.attacks import create
 from repro.harness import run_table1
@@ -66,6 +68,29 @@ def test_matrix_scenario_exports_byte_identical():
             defenses=["legacy-chrome", "jskernel"],
             cache=None,
         )
+    assert len(tracer) == golden["events"]
+    assert _sha256(dump_chrome_trace(tracer)) == golden["chrome_sha256"]
+    assert _sha256(format_timeline(tracer)) == golden["timeline_sha256"]
+
+
+@pytest.mark.parametrize(
+    "attack,defense",
+    [
+        # the three kernel message routes: window self-messaging
+        # (loopscan), worker -> page (counter-thread-clock) and
+        # page -> worker (cve-2014-1719)
+        ("loopscan", "jskernel"),
+        ("counter-thread-clock", "jskernel"),
+        ("cve-2014-1719", "jskernel"),
+        # DeterFox's own worker-message route
+        ("counter-thread-clock", "deterfox"),
+    ],
+)
+def test_message_route_scenarios_export_byte_identical(attack, defense):
+    golden = _digests()[f"{attack}|{defense}"]
+    tracer = Tracer()
+    with capture(tracer):
+        create(attack).run(defense)
     assert len(tracer) == golden["events"]
     assert _sha256(dump_chrome_trace(tracer)) == golden["chrome_sha256"]
     assert _sha256(format_timeline(tracer)) == golden["timeline_sha256"]
