@@ -33,20 +33,24 @@ def wrap_worker_messages(page, kspace: KernelSpace) -> None:
 
     Worker->main deliveries are re-ordered onto deterministic slots; the
     workers themselves stay native (no kernel threads, none of the
-    lifecycle policies — the CVE rows stay open).
+    lifecycle policies — the CVE rows stay open).  Unlike the kernel's
+    :class:`~repro.kernel.comm.KernelInbox`, a message that arrives
+    before the page sets ``onmessage`` is dropped, not queued.
     """
     native_worker = page.scope.Worker
 
     def deterministic_worker(src):
         handle = native_worker(src)
         user = {"handler": None}
+        # the agent's per-run name, like every other slot chain key
+        chain = f"msg:{handle._agent.name}"
 
         def receiver(event) -> None:
             handler = user["handler"]
             if handler is not None:
                 kspace.scheduler.register_confirmed(
                     "message", handler, args=(event,), label="dworker-msg",
-                    chain=f"msg:worker-{id(handle)}",
+                    chain=chain,
                 )
 
         def trap(fn) -> None:

@@ -10,8 +10,9 @@ The dispatcher examines the head of the kernel queue:
   timeline, so events confirmed early (messages flooding in faster than
   their deterministic slots) are held back;
 * PENDING → wait; the order is frozen by predicted times, so nothing
-  behind the head may run first.  Confirmation will kick the dispatcher;
-* CANCELLED → discard and continue.
+  behind the head may run first.  Confirmation will kick the dispatcher.
+
+Cancelled events never reach the head: the queue prunes them.
 
 Invoking an event ticks the kernel clock to the event's predicted time,
 which is how the user-visible time axis stays deterministic.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..runtime.task import TaskSource
-from .kobjects import CANCELLED, DISPATCHED, PENDING, KernelEvent
+from .kobjects import DISPATCHED, PENDING, KernelEvent
 
 #: Native cost charged per dispatched kernel event (queue + context prep).
 DISPATCH_COST = 1_500
@@ -38,7 +39,6 @@ class Dispatcher:
         self._anchor_real = self.loop.sim.now
         self._anchor_kernel = kspace.clock.now
         self._dispatch_scheduled = False
-        self.dispatched_count = 0
         #: Kernel invariant: under an order-enforcing policy the
         #: dispatched predicted times must be monotone non-decreasing.
         #: A violation is a kernel bug, traced as
@@ -48,7 +48,6 @@ class Dispatcher:
         # per-kind label caches: kick() runs on every register/confirm and
         # must not build an f-string per call on the untraced path
         self._kick_labels: dict = {}
-        self._span_names: dict = {}
         # cached metric handles, bound on the first traced dispatch (a
         # simulator's tracer is fixed for its life)
         self._mh_dispatched: dict = {}
@@ -83,16 +82,10 @@ class Dispatcher:
             # pass-through: confirmed events dispatch regardless of
             # pending earlier-slotted ones
             return queue.top_ready()
-        while True:
-            head = queue.top()
-            if head is None:
-                return None
-            if head.status == CANCELLED:
-                queue.pop()
-                continue
-            if head.status == PENDING:
-                return None  # frozen order: wait for confirmation
-            return head
+        head = queue.top()
+        if head is None or head.status == PENDING:
+            return None  # frozen order: wait for confirmation
+        return head
 
     def _allowed_real(self, event: KernelEvent) -> int:
         if not self.kspace.policy.enforces_order:
@@ -115,8 +108,8 @@ class Dispatcher:
             # relative pacing is preserved from here on
             self._anchor_real = now - (head.predicted_time - self._anchor_kernel)
         # in pass-through mode the dispatched event may not be the heap
-        # head; marking it DISPATCHED lets the queue prune it lazily
-        self.kspace.queue.remove_by_id(head.id)
+        # head; the queue prunes its entry lazily
+        self.kspace.queue.remove(head, DISPATCHED)
         self._invoke(head)
         self.kick()
 
@@ -144,22 +137,18 @@ class Dispatcher:
                     sim.tracer.metrics.counter("kernel.order_violations").inc()
             self._last_predicted = event.predicted_time
         self.kspace.clock.tick_to(event.predicted_time)
-        event.status = DISPATCHED
-        self.dispatched_count += 1
         tracer = sim.tracer
         if tracer.enabled:
             now = sim.now
             kind = event.kind
             dispatch_latency = now - (event.confirm_time or event.reg_time)
             if event.trace_span:
-                name = self._span_names.get(kind)
-                if name is None:
-                    name = self._span_names[kind] = f"kevent:{kind}"
+                scheduler = self.kspace.scheduler
                 tracer.async_event(
                     "e",
                     sim.trace_pid,
-                    self.kspace.scheduler.trace_row,
-                    name,
+                    scheduler.trace_row,
+                    scheduler.span_name(kind),
                     event.trace_span,
                     now,
                     cat="kernel-event",
@@ -181,9 +170,6 @@ class Dispatcher:
                 )
             counter.inc()
             self._mh_latency_hist.add(dispatch_latency)
-        if event.on_dispatch is not None:
-            event.on_dispatch(event)
-            return
         callback = event.chosen_callback
         if callback is None:
             return

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..runtime.dom import Element
-from ..runtime.messaging import MessageEvent
 from ..runtime.promises import SimPromise
 from ..runtime.sharedmem import AccessPolicy as SharedMemAccessPolicy
 from ..runtime.simtime import ms, to_ms
@@ -197,7 +196,6 @@ class KernelInterface:
                 },
                 label=f"fetch:{url}",
             )
-            event.stub = user_promise
             if on_register is not None:
                 on_register(event)
 
@@ -256,35 +254,8 @@ class KernelInterface:
         kspace = self.kspace
         natives = kspace.natives
         natives["postMessage"] = scope.postMessage
-        kspace.state["window_onmessage"] = None
-
-        def kernel_receiver(event: MessageEvent) -> None:
-            kind, payload, _command = comm.classify(event.data)
-            if kind == "kernel":
-                return  # no kernel commands on the window self-channel
-            delivered = MessageEvent(
-                payload,
-                origin=event.origin,
-                timestamp=event.timestamp,
-                transferred=event.transferred,
-            )
-
-            def deliver(msg: MessageEvent) -> None:
-                handler = kspace.state.get("window_onmessage")
-                if handler is not None:
-                    handler(msg)
-
-            kspace.scheduler.register_confirmed(
-                "message", deliver, args=(delivered,), label="window-msg",
-                chain="msg:window",
-            )
-
-        def trap(handler) -> None:
-            kspace.state["window_onmessage"] = handler
-
-        scope.set_raw("onmessage", kernel_receiver)
-        scope.define_setter_trap("onmessage", trap)
-        scope.seal_attribute("onmessage")
+        # no kernel commands travel on the window self-channel
+        comm.KernelInbox(kspace.scheduler, "window-msg", "msg:window").install(scope)
 
         def k_post_message(data: Any) -> None:
             kspace.api_call("postMessage", {})

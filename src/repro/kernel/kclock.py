@@ -38,19 +38,14 @@ class KernelClock:
         self.api_tick_ns = api_tick_ns
         self.display_resolution_ns = display_resolution_ns
         self._now = 0
-        self.api_ticks = 0
 
     # ------------------------------------------------------------------
-    # ticking API (paper: "tick either by or to a certain value")
+    # ticking API (paper: "tick either by or to a certain value"): by the
+    # API quantum, or to an event's predicted time
     # ------------------------------------------------------------------
     @property
     def now(self) -> int:
         """Current kernel time in ns (internal, full precision)."""
-        return self._now
-
-    def tick_by(self, delta_ns: int) -> int:
-        """Advance the clock by ``delta_ns``."""
-        self._now += max(delta_ns, 0)
         return self._now
 
     def tick_to(self, target_ns: int) -> int:
@@ -60,8 +55,7 @@ class KernelClock:
         return self._now
 
     def api_tick(self) -> int:
-        """The per-API-call tick."""
-        self.api_ticks += 1
+        """The per-API-call tick: advance by the fixed quantum."""
         self._now += self.api_tick_ns
         return self._now
 

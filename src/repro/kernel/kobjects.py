@@ -14,7 +14,10 @@ the paper's queue API: ``push``, ``pop``, ``top``, ``remove``.  Its heap
 holds ``(predicted_time, seq, event)`` entries like every ready queue in
 the runtime: ``seq`` is the queue's own push counter, which is also the
 event's id, so ids are per-queue and equal predicted times dispatch in
-registration order.
+registration order.  ``remove(event, status)`` is the one way out of the
+queue: cancellation leaves with CANCELLED, dispatch (and ``pop``) with
+DISPATCHED.  Removal counts the event out at once; its heap entry is
+pruned when it reaches the head.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ class KernelEvent:
         "args",
         "this",
         "label",
-        "stub",
-        "on_dispatch",
         "reg_time",
         "confirm_time",
         "trace_span",
@@ -70,10 +71,6 @@ class KernelEvent:
         self.args: Tuple[Any, ...] = ()
         self.this: Any = None
         self.label = label or kind
-        #: User-space stub value returned at registration (e.g. a promise).
-        self.stub: Any = None
-        #: Optional dispatcher hook run instead of the callback.
-        self.on_dispatch: Optional[Callable[["KernelEvent"], None]] = None
         #: Lifecycle stamps (virtual ns) for tracing: set by the scheduler
         #: at registration / confirmation.
         self.reg_time = 0
@@ -106,11 +103,6 @@ class KernelEvent:
             self.callbacks = {name: callback}
         self.status = READY
 
-    def cancel(self) -> None:
-        """Mark the event cancelled (dispatcher will discard it)."""
-        if self.status == PENDING or self.status == READY:
-            self.status = CANCELLED
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<KernelEvent #{self.id} {self.kind} @{self.predicted_time} "
@@ -119,29 +111,33 @@ class KernelEvent:
 
 
 class KernelEventQueue:
-    """Priority queue of kernel events ordered by predicted time."""
+    """Priority queue of kernel events ordered by predicted time.
 
-    def __init__(self):
+    With a simulator and a trace ``row``, every change of the live depth
+    is emitted as a ``kernel.queue_depth`` counter on that row.
+    """
+
+    def __init__(self, sim=None, row: str = ""):
         self._heap: List[Tuple[int, int, KernelEvent]] = []
-        self._by_id: Dict[int, KernelEvent] = {}
+        #: Live events: pushed and not yet removed (a removed event's heap
+        #: entry lingers until it is pruned at the head).
+        self._live = 0
         #: Push counter: event ids and the tie-break among equal times.
         self._seq = 0
-        self._sim = None
-        self._trace_row = ""
-        self._last_depth = -1
-
-    def bind_trace(self, sim, row: str) -> None:
-        """Emit depth counters onto ``row`` of ``sim``'s tracer."""
         self._sim = sim
         self._trace_row = row
+        self._last_depth = -1
+
+    def __len__(self) -> int:
+        """Live depth: events pushed and not yet removed."""
+        return self._live
 
     def _depth_changed(self) -> None:
-        # one counter sample per net depth change; ``_by_id`` is the live
-        # membership (heap entries linger until lazily pruned)
+        # one counter sample per net depth change
         sim = self._sim
         if sim is None or not sim.tracer.enabled:
             return
-        depth = len(self._by_id)
+        depth = self._live
         if depth == self._last_depth:
             return
         self._last_depth = depth
@@ -160,31 +156,31 @@ class KernelEventQueue:
         self._seq += 1
         event.id = self._seq
         heapq.heappush(self._heap, (event.predicted_time, event.id, event))
-        self._by_id[event.id] = event
+        self._live += 1
         self._depth_changed()
         return event
 
     def top(self) -> Optional[KernelEvent]:
-        """Earliest non-dispatched event, kept in the queue."""
-        self._prune()
-        if not self._heap:
-            return None
-        return self._heap[0][2]
+        """Earliest live event, kept in the queue."""
+        heap = self._heap
+        while heap and heap[0][2].status in (CANCELLED, DISPATCHED):
+            heapq.heappop(heap)
+        return heap[0][2] if heap else None
 
     def pop(self) -> Optional[KernelEvent]:
-        """Earliest event, removed from the queue."""
-        self._prune()
-        if not self._heap:
-            return None
-        _t, _i, event = heapq.heappop(self._heap)
-        self._by_id.pop(event.id, None)
-        self._depth_changed()
+        """Earliest live event, removed from the queue as DISPATCHED."""
+        event = self.top()
+        if event is not None:
+            self.remove(event, DISPATCHED)
         return event
 
-    def remove(self, event: KernelEvent) -> None:
-        """Remove an event regardless of predicted time (lazy)."""
-        event.status = DISPATCHED if event.status == DISPATCHED else CANCELLED
-        self._by_id.pop(event.id, None)
+    def remove(self, event: KernelEvent, status: str) -> None:
+        """Take a live event out of the queue, marking it ``status``
+        (CANCELLED or DISPATCHED); removing it again does nothing."""
+        if event.status == CANCELLED or event.status == DISPATCHED:
+            return
+        event.status = status
+        self._live -= 1
         self._depth_changed()
 
     def top_ready(self) -> Optional[KernelEvent]:
@@ -193,7 +189,7 @@ class KernelEventQueue:
         Used by pass-through (non-order-enforcing) dispatch, where an
         unconfirmed event must not hold back confirmed ones.
         """
-        self._prune()
+        self.top()  # prunes removed heads
         best: Optional[KernelEvent] = None
         for _t, _i, event in self._heap:
             if event.status == READY and (
@@ -201,14 +197,3 @@ class KernelEventQueue:
             ):
                 best = event
         return best
-
-    def remove_by_id(self, event_id: int) -> None:
-        """Drop an event from the id index (heap entry pruned lazily)."""
-        self._by_id.pop(event_id, None)
-        self._depth_changed()
-
-    def _prune(self) -> None:
-        while self._heap and self._heap[0][2].status in (CANCELLED, DISPATCHED):
-            _t, _i, event = heapq.heappop(self._heap)
-            self._by_id.pop(event.id, None)
-        self._depth_changed()

@@ -46,9 +46,6 @@ class Scheduler:
         self._last_slot: Dict[str, int] = {}
         #: Last predicted time handed out overall (monotonicity floor).
         self._last_assigned = 0
-        self.registered_count = 0
-        self.confirmed_count = 0
-        self.cancelled_count = 0
         #: Trace thread row shared by this kspace's scheduler + dispatcher.
         self.trace_row = f"kernel:{kspace.label}"
         # per-kind "kevent:<kind>" name cache for the traced path
@@ -61,7 +58,8 @@ class Scheduler:
         self._mh_confirmed = None
         self._mh_confirm_hist = None
 
-    def _span_name(self, kind: str) -> str:
+    def span_name(self, kind: str) -> str:
+        """The ``kevent:<kind>`` async-span name (cached per kind)."""
         name = self._span_names.get(kind)
         if name is None:
             name = self._span_names[kind] = f"kevent:{kind}"
@@ -123,7 +121,6 @@ class Scheduler:
         sim = self.kspace.loop.sim
         event.reg_time = sim.now
         self.queue.push(event)
-        self.registered_count += 1
         tracer = sim.tracer
         if tracer.enabled:
             event.trace_span = tracer.next_span_id()
@@ -131,7 +128,7 @@ class Scheduler:
                 "b",
                 sim.trace_pid,
                 self.trace_row,
-                self._span_name(kind),
+                self.span_name(kind),
                 event.trace_span,
                 event.reg_time,
                 cat="kernel-event",
@@ -205,7 +202,6 @@ class Scheduler:
         if event.status == CANCELLED:
             return
         event.confirm(args=args, this=this, which=which)
-        self.confirmed_count += 1
         sim = self.kspace.loop.sim
         event.confirm_time = sim.now
         tracer = sim.tracer
@@ -216,7 +212,7 @@ class Scheduler:
                     "n",
                     sim.trace_pid,
                     self.trace_row,
-                    self._span_name(event.kind),
+                    self.span_name(event.kind),
                     event.trace_span,
                     event.confirm_time,
                     cat="kernel-event",
@@ -253,21 +249,18 @@ class Scheduler:
     def cancel(self, event: KernelEvent) -> str:
         """Cancel an event; returns which of the paper's cases applied."""
         if event.status == PENDING:
-            event.cancel()
-            self.cancelled_count += 1
-            self._trace_cancel(event, "not-happened")
-            # a cancelled head may have been blocking confirmed events
-            self.kspace.dispatcher.kick()
-            return "not-happened"
-        if event.status == READY:
-            event.cancel()
-            self.cancelled_count += 1
-            self._trace_cancel(event, "confirmed-not-invoked")
-            self.kspace.dispatcher.kick()
-            return "confirmed-not-invoked"
-        if event.status == DISPATCHED:
+            case = "not-happened"
+        elif event.status == READY:
+            case = "confirmed-not-invoked"
+        elif event.status == DISPATCHED:
             return "already-invoked"
-        return "already-cancelled"
+        else:
+            return "already-cancelled"
+        self.queue.remove(event, CANCELLED)
+        self._trace_cancel(event, case)
+        # a cancelled head may have been blocking confirmed events
+        self.kspace.dispatcher.kick()
+        return case
 
     def _trace_cancel(self, event: KernelEvent, case: str) -> None:
         sim = self.kspace.loop.sim
@@ -279,7 +272,7 @@ class Scheduler:
                 "e",
                 sim.trace_pid,
                 self.trace_row,
-                self._span_name(event.kind),
+                self.span_name(event.kind),
                 event.trace_span,
                 sim.now,
                 cat="kernel-event",

@@ -34,8 +34,7 @@ class KernelSpace:
         self.policy = policy
         self.grid = grid
         self.label = label
-        self.queue = KernelEventQueue()
-        self.queue.bind_trace(loop.sim, f"kernel:{label}")
+        self.queue = KernelEventQueue(loop.sim, f"kernel:{label}")
         self.clock = KernelClock()
         self.scheduler = Scheduler(self)
         self.dispatcher = Dispatcher(self)
@@ -43,8 +42,6 @@ class KernelSpace:
         #: obtains all the JavaScript functions and redefines them using a
         #: customized pointer", §VI).
         self.natives: Dict[str, Any] = {}
-        #: Per-kernel-thread scratch state for policies.
-        self.state: Dict[str, Any] = {}
 
     def api_call(self, api: str, info: Dict[str, Any] = None) -> None:
         """Common prologue for every kernel-interposed API call.

@@ -17,6 +17,7 @@ the worker-lifecycle CVEs (2018-5092, 2014-1488, 2014-3194, 2013-5602,
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..runtime.interpose import Interposable
@@ -64,11 +65,12 @@ class KernelThread:
 class KernelWorkerStub(Interposable):
     """The user-space Worker stub (paper Listing 5's Proxy)."""
 
-    def __init__(self, kthread: KernelThread):
+    def __init__(self, kthread: KernelThread, inbox: comm.KernelInbox):
         super().__init__()
         self.onmessage: Optional[Callable[[MessageEvent], None]] = None
         self.onerror: Optional[Callable[[ErrorEvent], None]] = None
         self._kthread = kthread
+        self._inbox = inbox
         # kernel trap: assignments are observed by the kernel, never touch
         # the native wrapper (CVE-2013-5602's null deref cannot be reached)
         self.define_setter_trap("onmessage", self._trap_onmessage)
@@ -76,6 +78,7 @@ class KernelWorkerStub(Interposable):
 
     def _trap_onmessage(self, handler) -> None:
         self.set_raw("onmessage", handler)
+        self._inbox.handler = handler
 
     def postMessage(self, data: Any, transfer: Optional[list] = None) -> None:
         """User postMessage to the worker, via the kernel."""
@@ -108,7 +111,14 @@ class ThreadManager:
         """Create a kernel thread and return the user stub."""
         self.kspace.api_call("Worker", {"src": str(src)})
         kthread = KernelThread(self, src)
-        stub = KernelWorkerStub(kthread)
+        inbox = comm.KernelInbox(
+            self.kspace.scheduler,
+            "worker-msg",
+            f"msg:kthread-{kthread.id}",
+            on_command=partial(self._main_sys_command, kthread),
+            thread=kthread,
+        )
+        stub = KernelWorkerStub(kthread, inbox)
         kthread.stub = stub
         self.threads.append(kthread)
 
@@ -116,7 +126,7 @@ class ThreadManager:
         native_worker_ctor = self.kspace.natives["Worker"]
         handle = native_worker_ctor(bootstrap)
         kthread.kernel_worker = handle
-        handle.onmessage = lambda event: self._receive_from_worker(kthread, event)
+        handle.onmessage = inbox.receive
         handle.onerror = lambda error: self._receive_worker_error(kthread, error)
 
         # pass the user thread source over kernel-space communication
@@ -169,37 +179,17 @@ class ThreadManager:
     def _install_worker_messaging(self, kthread: KernelThread, kspace_w: KernelSpace, ws) -> None:
         natives = kspace_w.natives
         natives["postMessage"] = ws.postMessage
-        kspace_w.state["user_onmessage"] = None
 
-        def receiver(event: MessageEvent) -> None:
-            kind, payload, command = comm.classify(event.data)
-            if kind == "kernel":
-                self._worker_sys_command(kthread, kspace_w, ws, command, payload)
-                return
-            if not kthread.alive:
-                return
-            delivered = MessageEvent(
-                payload,
-                origin=event.origin,
-                timestamp=event.timestamp,
-                transferred=event.transferred,
-            )
+        def on_command(command: Optional[str], _data) -> None:
+            # the other command, Listing 4's "confirmFetch", only
+            # acknowledges a pendingChildFetch: nothing to do here
+            if command == "load-user-thread":
+                self._load_user_thread(kthread, ws)
 
-            def deliver(msg: MessageEvent) -> None:
-                handler = kspace_w.state.get("user_onmessage")
-                if handler is not None:
-                    handler(msg)
-
-            kspace_w.scheduler.register_confirmed(
-                "message", deliver, args=(delivered,), label="worker-inbox",
-                chain="msg:parent",
-            )
-
-        ws.set_raw("onmessage", receiver)
-        ws.define_setter_trap(
-            "onmessage", lambda fn: kspace_w.state.__setitem__("user_onmessage", fn)
-        )
-        ws.seal_attribute("onmessage")
+        comm.KernelInbox(
+            kspace_w.scheduler, "worker-inbox", "msg:parent",
+            on_command=on_command, thread=kthread,
+        ).install(ws)
 
         def k_post_message(data: Any, transfer: Optional[list] = None) -> None:
             kspace_w.api_call("worker.postMessage", {})
@@ -212,13 +202,6 @@ class ThreadManager:
             natives["postMessage"](comm.wrap_user(data), transfer)
 
         ws.postMessage = k_post_message
-
-    def _worker_sys_command(self, kthread, kspace_w, ws, command: str, payload) -> None:
-        if command == "load-user-thread":
-            self._load_user_thread(kthread, ws)
-        elif command == "confirmFetch":
-            # Listing 4: the main thread confirmed it knows about the fetch
-            kspace_w.state.setdefault("confirmed_fetches", set()).add(payload)
 
     def _load_user_thread(self, kthread: KernelThread, ws) -> None:
         if not kthread.alive:
@@ -317,30 +300,6 @@ class ThreadManager:
         self.kernel.policy.on_worker_message(kthread, "to_worker", data)
         kthread.kernel_worker.postMessage(comm.wrap_user(data), transfer)
         self.kernel.policy.on_worker_message(kthread, "to_worker_transfer", transfer)
-
-    def _receive_from_worker(self, kthread: KernelThread, event: MessageEvent) -> None:
-        kind, payload, command = comm.classify(event.data)
-        if kind == "kernel":
-            self._main_sys_command(kthread, command, payload)
-            return
-        if not kthread.alive:
-            return
-        delivered = MessageEvent(
-                payload,
-                origin=event.origin,
-                timestamp=event.timestamp,
-                transferred=event.transferred,
-            )
-
-        def deliver(msg: MessageEvent) -> None:
-            handler = getattr(kthread.stub, "onmessage", None)
-            if handler is not None:
-                handler(msg)
-
-        self.kspace.scheduler.register_confirmed(
-            "message", deliver, args=(delivered,), label="worker-msg",
-            chain=f"msg:kthread-{kthread.id}",
-        )
 
     def _main_sys_command(self, kthread: KernelThread, command: str, payload) -> None:
         if command == "pendingChildFetch":

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.defenses import JSKernelDefense
 from repro.kernel import JSKernel, KernelEvent, KernelEventQueue, SchedulingGrid
+from repro.kernel.kobjects import CANCELLED
 from repro.kernel.policies import DeterministicSchedulingPolicy
 from repro.kernel.policy import CompositePolicy
 from repro.runtime import Browser, chrome
@@ -74,37 +75,37 @@ def test_single_policy_is_wrapped_in_composite():
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["push", "pop", "cancel-head", "confirm-head"]),
+            st.sampled_from(["push", "pop", "cancel", "confirm-head"]),
             st.integers(min_value=0, max_value=10**6),
         ),
         max_size=40,
     )
 )
 def test_queue_pop_order_property(ops):
-    """Each pop returns the live minimum-predicted-time event, and
-    cancelled events never come out at all (model-based check)."""
+    """Each pop returns the live minimum-predicted-time event, cancelled
+    events never come out at all, and the queue's depth is the number of
+    live events after every operation (model-based check)."""
     queue = KernelEventQueue()
     model = []  # live events, mirroring the queue
-    cancelled_ids = set()
     for op, value in ops:
         if op == "push":
             event = queue.push(KernelEvent("k", value, {"default": lambda: None}))
             model.append(event)
         elif op == "pop":
             event = queue.pop()
-            live = [e for e in model if e.id not in cancelled_ids]
-            if not live:
+            if not model:
                 assert event is None
             else:
-                expected = min(live, key=lambda e: (e.predicted_time, e.id))
+                expected = min(model, key=lambda e: (e.predicted_time, e.id))
                 assert event is expected
                 model.remove(event)
-        elif op == "cancel-head":
-            head = queue.top()
-            if head is not None:
-                head.cancel()
-                cancelled_ids.add(head.id)
+        elif op == "cancel":
+            # any live event, not only the head
+            if model:
+                victim = model.pop(value % len(model))
+                queue.remove(victim, CANCELLED)
         elif op == "confirm-head":
             head = queue.top()
             if head is not None and head.status == "pending":
                 head.confirm()
+        assert len(queue) == len(model)

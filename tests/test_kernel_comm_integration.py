@@ -1,5 +1,8 @@
 """Integration tests for the kernel/user message overlay (paper §III-E2)."""
 
+import re
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import comm
@@ -77,3 +80,16 @@ def test_kernel_envelopes_round_trip_property(command, data):
     assert kind == "kernel"
     assert got_command == command
     assert unwrapped == data
+
+
+def test_only_the_inbox_and_deterfox_register_message_events():
+    """Every JSKernel message route goes through ``KernelInbox``; only
+    DeterFox/DetBrowser's worker-message route keeps its own code."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    writer = re.compile(r'register_confirmed\(\s*"message"')
+    found = sorted(
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if writer.search(path.read_text())
+    )
+    assert found == ["defenses/deterministic.py", "kernel/comm.py"]

@@ -8,14 +8,19 @@ from repro.kernel.space import KernelSpace
 from repro.runtime.eventloop import EventLoop
 from repro.runtime.simtime import ms
 from repro.runtime.simulator import Simulator
+from repro.trace import capture
 
 
-@pytest.fixture
-def kspace():
+def _make_kspace():
     sim = Simulator()
     loop = EventLoop(sim, "ktest", task_dispatch_cost=0)
     policy = CompositePolicy([DeterministicSchedulingPolicy()])
     return KernelSpace(loop, policy, SchedulingGrid(), label="test")
+
+
+@pytest.fixture
+def kspace():
+    return _make_kspace()
 
 
 def test_dispatch_order_follows_predicted_time(kspace):
@@ -104,15 +109,6 @@ def test_dispatch_advances_kernel_clock_to_slot(kspace):
     assert slots["clock"] >= event.predicted_time
 
 
-def test_on_dispatch_hook_replaces_callback(kspace):
-    seen = []
-    event = kspace.scheduler.register("timeout", {"default": lambda: seen.append("cb")}, hint=0)
-    event.on_dispatch = lambda ev: seen.append(("hook", ev.kind))
-    kspace.scheduler.confirm(event)
-    kspace.loop.sim.run()
-    assert seen == [("hook", "timeout")]
-
-
 def test_this_binding(kspace):
     seen = []
     target = object()
@@ -124,9 +120,12 @@ def test_this_binding(kspace):
     assert seen == [(target, 42)]
 
 
-def test_dispatched_count(kspace):
-    for i in range(3):
-        event = kspace.scheduler.register("timeout", {"default": lambda: None}, hint=0)
-        kspace.scheduler.confirm(event)
-    kspace.loop.sim.run()
-    assert kspace.dispatcher.dispatched_count == 3
+def test_dispatched_count():
+    with capture() as tracer:
+        kspace = _make_kspace()
+        for i in range(3):
+            event = kspace.scheduler.register("timeout", {"default": lambda: None}, hint=0)
+            kspace.scheduler.confirm(event)
+        kspace.loop.sim.run()
+    assert tracer.metrics.snapshot()["counters"]["kernel.dispatched.timeout"] == 3
+    assert len(kspace.queue) == 0

@@ -7,6 +7,7 @@ from repro.kernel import comm
 from repro.kernel.kclock import KernelClock, KernelPerformance
 from repro.kernel.kobjects import (
     CANCELLED,
+    DISPATCHED,
     PENDING,
     READY,
     KernelEvent,
@@ -45,16 +46,18 @@ def test_confirm_unknown_callback_raises():
 
 
 def test_cancel_before_and_after_confirm():
-    a = KernelEvent("timeout", 0)
-    a.cancel()
+    queue = KernelEventQueue()
+    a = queue.push(KernelEvent("timeout", 0))
+    queue.remove(a, CANCELLED)
     assert a.status == CANCELLED
     a.confirm()  # confirm on cancelled: ignored
     assert a.status == CANCELLED
 
-    b = KernelEvent("timeout", 0, {"default": lambda: None})
+    b = queue.push(KernelEvent("timeout", 0, {"default": lambda: None}))
     b.confirm()
-    b.cancel()
+    queue.remove(b, CANCELLED)
     assert b.status == CANCELLED
+    assert len(queue) == 0 and queue.top() is None
 
 
 def test_double_confirm_raises():
@@ -87,15 +90,19 @@ def test_queue_orders_by_predicted_time():
 def test_queue_remove_drops_the_event():
     queue = KernelEventQueue()
     event = queue.push(KernelEvent("a", ms(1)))
-    queue.remove(event)
+    queue.remove(event, CANCELLED)
     assert queue.top() is None
+    # removal is the one exit: a second removal changes nothing
+    queue.remove(event, DISPATCHED)
+    assert event.status == CANCELLED and len(queue) == 0
 
 
 def test_queue_skips_cancelled():
     queue = KernelEventQueue()
     first = queue.push(KernelEvent("a", ms(1)))
     second = queue.push(KernelEvent("b", ms(2)))
-    first.cancel()
+    queue.remove(first, CANCELLED)
+    assert len(queue) == 1
     assert queue.top() is second
 
 
@@ -108,7 +115,6 @@ def test_kernel_clock_api_ticks_are_fixed():
     clock.api_tick()
     clock.api_tick()
     assert clock.now == us(20)
-    assert clock.api_ticks == 2
 
 
 def test_kernel_clock_tick_to_never_goes_back():
@@ -120,7 +126,7 @@ def test_kernel_clock_tick_to_never_goes_back():
 
 def test_kernel_clock_display_quantizes():
     clock = KernelClock(display_resolution_ns=ms(1))
-    clock.tick_by(ms(3) + 123_456)
+    clock.tick_to(ms(3) + 123_456)
     assert clock.display_ns() == ms(3)
     assert clock.display_ms() == 3.0
 

@@ -10,14 +10,19 @@ from repro.kernel.space import KernelSpace
 from repro.runtime.eventloop import EventLoop
 from repro.runtime.simtime import ms
 from repro.runtime.simulator import Simulator
+from repro.trace import capture
 
 
-@pytest.fixture
-def kspace():
+def _make_kspace():
     sim = Simulator()
     loop = EventLoop(sim, "ktest", task_dispatch_cost=0)
     policy = CompositePolicy([DeterministicSchedulingPolicy()])
     return KernelSpace(loop, policy, SchedulingGrid(), label="test")
+
+
+@pytest.fixture
+def kspace():
+    return _make_kspace()
 
 
 def test_timeout_prediction_on_grid(kspace):
@@ -127,11 +132,27 @@ def test_monotone_assignment_global(kspace):
         last = max(last, event.predicted_time)
 
 
-def test_counters(kspace):
-    event = kspace.scheduler.register("timeout", {"default": lambda: None}, hint=0)
-    kspace.scheduler.confirm(event)
-    other = kspace.scheduler.register("timeout", hint=0)
-    kspace.scheduler.cancel(other)
-    assert kspace.scheduler.registered_count == 2
-    assert kspace.scheduler.confirmed_count == 1
-    assert kspace.scheduler.cancelled_count == 1
+def test_counters():
+    with capture() as tracer:
+        kspace = _make_kspace()
+        event = kspace.scheduler.register("timeout", {"default": lambda: None}, hint=0)
+        kspace.scheduler.confirm(event)
+        other = kspace.scheduler.register("timeout", hint=0)
+        kspace.scheduler.cancel(other)
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["kernel.registered.timeout"] == 2
+    assert counters["kernel.confirmed"] == 1
+    assert counters["kernel.cancelled.not-happened"] == 1
+
+
+def test_cancel_takes_the_event_out_of_the_queue_depth():
+    """A cancelled event leaves the queue at once, not when it would
+    have reached the head: the depth gauge counts live events only."""
+    with capture() as tracer:
+        kspace = _make_kspace()
+        kspace.scheduler.register("timeout", hint=ms(1))
+        later = kspace.scheduler.register("timeout", hint=ms(5))
+        assert kspace.scheduler.cancel(later) == "not-happened"
+    gauges = tracer.metrics.snapshot()["gauges"]
+    assert gauges["kernel.queue.depth.kernel:test"] == 1
+    assert len(kspace.queue) == 1
