@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..runtime.rng import hash_seed
+from ..runtime.rng import hash_parts, hash_seed
 from ..telemetry.sketch import QuantileSketch
 from .sites import SiteDescription, generate_site, site_stats
 
@@ -141,17 +141,18 @@ MODEL_CONFIG_OVERHEAD: Dict[str, float] = {
 _MASK64 = (1 << 64) - 1
 
 
-def _uniform(seed: int, label: str) -> float:
-    """One pure uniform draw in ``[0, 1)`` keyed by ``(seed, label)``.
+def _uniform(acc: int) -> float:
+    """One pure uniform draw in ``[0, 1)`` from a label hash ``acc``.
 
-    A murmur3-style finalizer over the label hash, scaled to the unit
+    A murmur3-style finalizer over the 64-bit hash of a ``(seed, label)``
+    pair (:func:`~repro.runtime.rng.hash_seed` or, split at the label's
+    numbers, :func:`~repro.runtime.rng.hash_parts`), scaled to the unit
     interval.  The finalizer matters: raw FNV-1a bits are visibly
     structured across sequential labels (``pop:arch:0``, ``pop:arch:1``,
     ...), and constructing a ``random.Random`` per draw — the usual fix
-    — would cost more than the whole load model at three or four draws
-    per page across 100k+ pages.
+    — would cost more than the whole load model at three draws per page
+    (archetype, browser, jitter) across 100k+ pages.
     """
-    acc = hash_seed(seed, label)
     acc ^= acc >> 33
     acc = (acc * 0xFF51AFD7ED558CCD) & _MASK64
     acc ^= acc >> 33
@@ -184,12 +185,12 @@ def _cumulative(choices: Tuple[Tuple[str, float], ...]) -> tuple:
     return entry
 
 
-def _weighted(seed: int, label: str, choices: Sequence[Tuple[str, float]]) -> str:
-    """Seeded weighted pick — pure per ``(seed, label)``."""
+def _weighted(draw: float, choices: Sequence[Tuple[str, float]]) -> str:
+    """Weighted pick by a uniform ``draw`` in ``[0, 1)`` (see :func:`_uniform`)."""
     if type(choices) is not tuple:  # a mutable mix is summed afresh
         choices = tuple(choices)
     _mix, total, bounds = _cumulative(choices)
-    point = _uniform(seed, label) * total
+    point = draw * total
     for bound, name in bounds:
         if point < bound:
             return name
@@ -213,7 +214,7 @@ def band_for_rank(rank: int, size: int) -> str:
 def archetype_for_rank(rank: int, seed: int, size: int = DEFAULT_POPULATION) -> str:
     """The archetype of the page at ``rank`` — pure in ``(rank, seed)``."""
     mix = BAND_MIX[band_for_rank(rank, size)]
-    return _weighted(seed, f"pop:arch:{rank}", mix)
+    return _weighted(_uniform(hash_parts(seed, "pop:arch:", str(rank))), mix)
 
 
 def config_for_rank(
@@ -222,7 +223,7 @@ def config_for_rank(
     mix: Sequence[Tuple[str, float]] = DEFAULT_BROWSER_MIX,
 ) -> str:
     """The browser configuration a visit to ``rank`` uses (traffic mix)."""
-    return _weighted(seed, f"pop:browser:{rank}", mix)
+    return _weighted(_uniform(hash_parts(seed, "pop:browser:", str(rank))), mix)
 
 
 def page_for(rank: int, seed: int, size: int = DEFAULT_POPULATION) -> SiteDescription:
@@ -241,7 +242,7 @@ def page_for(rank: int, seed: int, size: int = DEFAULT_POPULATION) -> SiteDescri
 
 def _site_seed(rank: int, seed: int) -> int:
     """The generator seed of the page at ``rank``."""
-    return hash_seed(seed, f"pop:site:{rank}")
+    return hash_parts(seed, "pop:site:", str(rank))
 
 
 def zipf_rank(u: float, size: int) -> int:
@@ -295,9 +296,12 @@ def session_stream(model: PopulationModel, count: Optional[int] = None) -> Itera
     arrival = 0.0
     index = 0
     while count is None or index < count:
-        rng = random.Random(hash_seed(model.seed, f"pop:session:{index}"))
+        digits = str(index)
+        rng = random.Random(hash_parts(model.seed, "pop:session:", digits))
         arrival += rng.expovariate(model.session_rate_hz)
-        config = _weighted(model.seed, f"pop:sbrowser:{index}", model.browser_mix)
+        config = _weighted(
+            _uniform(hash_parts(model.seed, "pop:sbrowser:", digits)), model.browser_mix
+        )
         # geometric page count with mean `mean_pages` (>= 1 page)
         pages = max(1, int(rng.expovariate(1.0 / max(model.mean_pages - 1, 1e-9))) + 1) \
             if model.mean_pages > 1 else 1
@@ -323,18 +327,18 @@ def _estimate(
     dom_nodes: int,
     task_ms: float,
     config: str,
-    seed: int,
-    host: str,
     archetype: Optional[str],
+    jitter_draw: float,
 ) -> float:
-    """The model core over raw site stats (see :func:`estimate_load_ms`)."""
+    """The model core over raw site stats and the visit's uniform jitter
+    draw (see :func:`estimate_load_ms`)."""
     network_ms = total_bytes / MODEL_BYTES_PER_MS
     parse_ms = script_bytes / 102_400 * MODEL_PARSE_MS_PER_100KB
     dom_ms = dom_nodes / 100 * MODEL_DOM_MS_PER_100_NODES
     base = network_ms + parse_ms + dom_ms + task_ms
     overhead = MODEL_CONFIG_OVERHEAD.get(config, 1.05)
     scale = ARCHETYPES[archetype]["scale"] if archetype else 1.0
-    jitter = 0.95 + 0.1 * _uniform(seed, f"pop:jitter:{host}:{config}")
+    jitter = 0.95 + 0.1 * jitter_draw
     return base * overhead * scale * jitter
 
 
@@ -359,8 +363,8 @@ def estimate_load_ms(
     for _delay, cost in site.task_pattern:
         task_ms += cost
     return _estimate(
-        site.total_bytes(), script_bytes, site.dom_nodes, task_ms,
-        config, seed, site.host, archetype,
+        site.total_bytes(), script_bytes, site.dom_nodes, task_ms, config, archetype,
+        _uniform(hash_seed(seed, f"pop:jitter:{site.host}:{config}")),
     )
 
 
@@ -381,23 +385,29 @@ def run_population_page(
     """
     archetype = archetype_for_rank(rank, seed, size)
     weight = ARCHETYPES[archetype]["weight"]
-    host = f"{archetype}{rank:07d}.example"
     chosen = config or config_for_rank(rank, seed)
-    visit_seed = hash_seed(seed, f"pop:visit:{rank}:{chosen}:{visit}")
+    visit_seed = hash_parts(seed, "pop:visit:", str(rank), f":{chosen}:", str(visit))
     if mode == "model":
-        # the stats path replays generate_site's draw sequence without
-        # building the description, so this equals
-        # estimate_load_ms(page_for(rank, seed, size), ...) exactly
+        # the labels are the host-based ones of page_for/estimate_load_ms
+        # split at the padded rank, and the stats path replays
+        # generate_site's draw sequence without building the description,
+        # so this equals estimate_load_ms(page_for(rank, seed, size), ...)
+        # exactly
+        padded = f"{rank:07d}"
         total_bytes, script_bytes, dom_nodes, task_ms = site_stats(
-            host, _site_seed(rank, seed), weight
+            hash_parts(_site_seed(rank, seed), archetype, padded, ".example"), weight
+        )
+        jitter_key = hash_parts(
+            visit_seed, f"pop:jitter:{archetype}", padded, f".example:{chosen}"
         )
         load_ms = _estimate(
-            total_bytes, script_bytes, dom_nodes, task_ms,
-            chosen, visit_seed, host, archetype,
+            total_bytes, script_bytes, dom_nodes, task_ms, chosen, archetype,
+            _uniform(jitter_key),
         )
     elif mode == "sim":
         from .alexa import measure_load_time_ms
 
+        host = f"{archetype}{rank:07d}.example"
         site = generate_site(host, _site_seed(rank, seed), weight)
         load_ms = measure_load_time_ms(chosen, site, seed=visit_seed)
     else:

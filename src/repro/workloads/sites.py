@@ -152,9 +152,10 @@ _STATS_DRAWS = {
 }
 
 
-def site_stats(host: str, seed: int, weight: str = "medium") -> Tuple[int, int, int, float]:
+def site_stats(stream_seed: int, weight: str = "medium") -> Tuple[int, int, int, float]:
     """``(total_bytes, script_bytes, dom_nodes, task_cost_ms)`` of the site
-    :func:`generate_site` would build for the same arguments.
+    ``generate_site(host, seed, weight)`` builds, where ``stream_seed`` is
+    the seed that seeds its ``Random``: ``hash_seed(seed, host)``.
 
     Consumes the identical seeded draw sequence but allocates nothing —
     the cheap summary closed-form load models need at population scale,
@@ -166,7 +167,7 @@ def site_stats(host: str, seed: int, weight: str = "medium") -> Tuple[int, int, 
     ``tests/test_population.py`` checks the replay against
     :func:`generate_site` itself.
     """
-    rng = random.Random(hash_seed(seed, host))
+    rng = random.Random(stream_seed)
     bits = rng.getrandbits
     rand = rng.random
     scripts, script_kb, images, image_kb, tasks, nodes, (cost_lo, cost_width) = (

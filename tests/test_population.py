@@ -9,7 +9,10 @@ counting the cells pulled but not yet aggregated, and by comparing the
 aggregate's pickled size at a quarter of the sweep and at its end.
 """
 
+import hashlib
+import json
 import math
+import os
 import pickle
 
 import pytest
@@ -68,7 +71,7 @@ def _assert_site_stats_match(host, seed, weight):
     task_ms = 0.0
     for _delay, cost in site.task_pattern:
         task_ms += cost
-    assert site_stats(host, seed, weight) == (
+    assert site_stats(hash_seed(seed, host), weight) == (
         site.total_bytes(),
         sum(r.size_bytes for r in site.resources if r.kind == "script"),
         site.dom_nodes,
@@ -109,6 +112,43 @@ def test_model_mode_equals_the_closed_form_over_the_full_page(rank):
     assert outcome["config"] == config
 
 
+def _reference_page(rank, seed, size, config, visit):
+    """A model-mode visit from the plain f-string labels, ``hash_seed``
+    and the full ``generate_site`` description."""
+    def draw(key, label):
+        return population._uniform(hash_seed(key, label))
+
+    archetype = population._weighted(
+        draw(seed, f"pop:arch:{rank}"), population.BAND_MIX[band_for_rank(rank, size)]
+    )
+    chosen = config or population._weighted(
+        draw(seed, f"pop:browser:{rank}"), DEFAULT_BROWSER_MIX
+    )
+    site = generate_site(
+        f"{archetype}{rank:07d}.example",
+        hash_seed(seed, f"pop:site:{rank}"),
+        ARCHETYPES[archetype]["weight"],
+    )
+    visit_seed = hash_seed(seed, f"pop:visit:{rank}:{chosen}:{visit}")
+    load_ms = estimate_load_ms(site, chosen, visit_seed, archetype)
+    return {"rank": rank, "archetype": archetype, "config": chosen,
+            "load_ms": round(load_ms, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # past 10**7 the host's zero-padded rank grows an eighth digit
+    rank=st.integers(0, 2 * 10**7),
+    seed=st.integers(0, 2**64 - 1) | st.integers(-(2**70), 2**70),
+    config=st.sampled_from(["", *population.MODEL_CONFIG_OVERHEAD]) | st.text(max_size=6),
+    visit=st.integers(0, 10**6),
+)
+def test_model_page_equals_the_plain_label_reference(rank, seed, config, visit):
+    size = 2 * 10**7 + 1
+    expected = _reference_page(rank, seed, size, config, visit)
+    assert run_population_page(rank, seed, size=size, config=config, visit=visit) == expected
+
+
 def test_sim_mode_runs_the_simulator_and_stays_deterministic():
     one = run_population_page(3, seed=1, size=100, mode="sim")
     two = run_population_page(3, seed=1, size=100, mode="sim")
@@ -122,7 +162,7 @@ def test_sim_mode_runs_the_simulator_and_stays_deterministic():
 def _reference_weighted(seed, label, choices):
     """The pick as first written: the shares re-summed on every call."""
     total = sum(share for _name, share in choices)
-    point = population._uniform(seed, label) * total
+    point = population._uniform(hash_seed(seed, label)) * total
     acc = 0.0
     for name, share in choices:
         acc += share
@@ -142,10 +182,11 @@ _SHARES = st.integers(0, 50) | st.floats(0, 1e6, allow_nan=False, allow_infinity
 )
 def test_weighted_pick_equals_the_resumming_formula(seed, label, mix):
     expected = _reference_weighted(seed, label, mix)
-    assert population._weighted(seed, label, mix) == expected
+    draw = population._uniform(hash_seed(seed, label))
+    assert population._weighted(draw, mix) == expected
     mix = tuple(mix)
-    assert population._weighted(seed, label, mix) == expected
-    assert population._weighted(seed, label, mix) == expected  # from the cache
+    assert population._weighted(draw, mix) == expected
+    assert population._weighted(draw, mix) == expected  # from the cache
 
 
 
@@ -301,6 +342,28 @@ def test_sweep_equals_a_direct_fold_of_its_pages(kwargs, visits, parallel):
         report.pop(key)
     assert report == expected
     assert report["pages"] == len(visits) > PAGE_BLOCK
+
+
+with open(
+    os.path.join(os.path.dirname(__file__), "golden", "population_digests.json"),
+    encoding="utf-8",
+) as _handle:
+    _GOLDEN = {k: v for k, v in json.load(_handle).items() if not k.startswith("_")}
+
+
+@pytest.mark.parametrize("shape", sorted(_GOLDEN))
+def test_sweep_report_bytes_are_pinned(shape):
+    """The report `population --size 3000 --seed 3 --no-cache --json`
+    prints, per sweep shape, hashes as it did before the label hashing
+    was rewritten: every page seed, pick and jitter draw is unchanged."""
+    entry = _GOLDEN[shape]
+    kwargs = dict(entry["kwargs"])
+    if "browser_mix" in kwargs:
+        kwargs["browser_mix"] = tuple(tuple(pair) for pair in kwargs["browser_mix"])
+    report = population_sweep(3000, seed=3, cache=None, **kwargs)
+    assert report["pages"] == entry["pages"]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == entry["sha256"]
 
 
 def test_pool_sweep_fans_blocks_out_over_several_shards():

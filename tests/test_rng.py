@@ -1,8 +1,9 @@
 """Unit tests for the seeded randomness service."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.runtime.rng import RngService, hash_seed
+from repro.runtime import rng
+from repro.runtime.rng import RngService, hash_parts, hash_seed
 
 
 def test_same_seed_same_stream():
@@ -48,3 +49,39 @@ def test_hash_seed_is_stable():
 def test_hash_seed_in_64_bit_range(seed, name):
     value = hash_seed(seed, name)
     assert 0 <= value < 2**64
+
+
+def test_hash_seed_matches_the_published_fnv1a_64_vectors():
+    # seed 0 leaves the FNV-1a 64 offset basis untouched
+    assert hash_seed(0, "") == 0xCBF29CE484222325
+    assert hash_seed(0, "a") == 0xAF63DC4C8601EC8C
+    assert hash_seed(0, "foobar") == 0x85944171F73967E8
+
+
+_SEEDS = st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS, st.lists(st.text(max_size=12), max_size=7))
+def test_hash_parts_equals_hash_seed_of_the_joined_label(seed, parts):
+    # any part count (fixed text at even positions, a trailing fixed
+    # part or not), multi-byte UTF-8 in either position
+    assert hash_parts(seed, *parts) == hash_seed(seed, "".join(parts))
+
+
+def test_hash_parts_handles_multibyte_and_empty_parts():
+    for parts in [(), ("",), ("", "", ""), ("é",), ("pop:", "ü€𝄞", "∑:", "7"), ("𝄞" * 40, "")]:
+        for seed in (0, -1, 2**64, 2**64 + 5, 12345):
+            assert hash_parts(seed, *parts) == hash_seed(seed, "".join(parts)), parts
+
+
+def test_step_memo_stays_capped_and_values_survive_a_clear():
+    rng._STEPS.clear()
+    texts = [f"fixed-{i}:" for i in range(3 * rng._STEPS_LIMIT)]
+    expected = [hash_seed(7, f"{text}42") for text in texts]
+    for text, value in zip(texts, expected):
+        assert hash_parts(7, text, "42") == value
+        assert len(rng._STEPS) <= rng._STEPS_LIMIT
+    rng._STEPS.clear()
+    assert [hash_parts(7, text, "42") for text in texts] == expected
+    assert len(rng._STEPS) <= rng._STEPS_LIMIT
