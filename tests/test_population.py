@@ -354,8 +354,8 @@ with open(
 @pytest.mark.parametrize("shape", sorted(_GOLDEN))
 def test_sweep_report_bytes_are_pinned(shape):
     """The report `population --size 3000 --seed 3 --no-cache --json`
-    prints, per sweep shape, hashes as it did before the label hashing
-    was rewritten: every page seed, pick and jitter draw is unchanged."""
+    prints hashes to its pinned digest for each sweep shape, so no page
+    seed, pick or jitter draw has moved."""
     entry = _GOLDEN[shape]
     kwargs = dict(entry["kwargs"])
     if "browser_mix" in kwargs:
